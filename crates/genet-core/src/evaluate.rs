@@ -2,9 +2,9 @@
 //! the paper's Figure 8.
 //!
 //! Evaluation dominates wall-clock in every experiment (hundreds of test
-//! environments per figure), so it fans out over threads with
-//! `crossbeam::scope`. Everything stays deterministic: work items carry
-//! their own derived seeds and results return in input order.
+//! environments per figure), so it fans out over threads through
+//! `genet-par`. Everything stays deterministic: work items carry their own
+//! derived seeds and results return in input order.
 
 use genet_env::{EnvConfig, Policy, Scenario};
 use genet_math::derive_seed;

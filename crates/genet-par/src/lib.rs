@@ -1,8 +1,10 @@
 //! # genet-par
 //!
 //! The deterministic parallel execution engine shared by evaluation
-//! (`genet-core::evaluate`), the rollout engine (`train_rl_with`) and the
-//! PPO update stage (`genet-rl::PpoAgent::update`).
+//! (`genet-core::evaluate`), the rollout engine (`train_rl_with`), the
+//! PPO update stage (`genet-rl::PpoAgent::update`), EI scoring and the
+//! serving engine. Every batch runs through one private fan-out on
+//! `std::thread::scope` (DESIGN.md §10).
 //!
 //! Everything here upholds one invariant: **the worker count is a pure
 //! performance knob**. Work items derive their state from their index alone,
@@ -13,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -173,78 +176,85 @@ where
     par_map_profiled(n, f, false).0
 }
 
-/// The engine under every parallel batch: maps `f` over `0..n` across
-/// [`worker_count`] threads and returns the results in input order plus a
-/// [`BatchProfile`]. Busy-time is only measured when `timed` (callers with
-/// disabled telemetry read no clock).
+/// The chunk rule of every batch: `n` items on `threads` workers are cut
+/// into contiguous chunks of this many items (the last may be shorter), and
+/// chunk `k` — worker `k`'s share — holds items `k * len ..`. A pure
+/// function of `(n, threads)`. A batch reports `ceil(n / len)` workers, and
+/// feeding that count back in gives the same `len`, which is what lets
+/// [`sum_per_worker`] regroup a finished batch.
+fn chunk_len(n: usize, threads: usize) -> usize {
+    n.div_ceil(threads.max(1)).max(1)
+}
+
+/// The one fan-out under every batch of this crate. Cuts `items` into
+/// chunks by [`chunk_len`], runs `work(first_index, chunk)` on chunk 0 on
+/// the calling thread and on every other chunk on a scoped thread of its
+/// own, and returns each chunk's output in chunk order plus the
+/// [`BatchProfile`] (clocks are read only when `timed`).
+///
+/// A panic in any chunk reaches the caller with its original payload:
+/// chunk 0 unwinds through the scope, which first joins the other chunks,
+/// and a spawned chunk's panic is re-raised when its handle is joined.
+fn fan_out<I, R, W>(items: &mut [I], threads: usize, timed: bool, work: W) -> (Vec<R>, BatchProfile)
+where
+    I: Send,
+    R: Send,
+    W: Fn(usize, &mut [I]) -> R + Sync,
+{
+    if items.is_empty() {
+        return (Vec::new(), BatchProfile::default());
+    }
+    let len = chunk_len(items.len(), threads);
+    let run = |k: usize, chunk: &mut [I]| {
+        let t0 = timed.then(Instant::now);
+        let out = work(k * len, chunk);
+        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        (out, busy, chunk.len() as u64)
+    };
+    let (first, rest) = items.split_at_mut(len);
+    let chunks = std::thread::scope(|s| {
+        let run = &run;
+        let spawned: Vec<_> = rest
+            .chunks_mut(len)
+            .enumerate()
+            .map(|(k, chunk)| s.spawn(move || run(k + 1, chunk)))
+            .collect();
+        let mut chunks = vec![run(0, first)];
+        for handle in spawned {
+            chunks.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        chunks
+    });
+    let mut profile = BatchProfile {
+        workers: chunks.len(),
+        ..BatchProfile::default()
+    };
+    let mut outs = Vec::with_capacity(chunks.len());
+    for (out, busy, count) in chunks {
+        outs.push(out);
+        if timed {
+            profile.busy_nanos += busy;
+            profile.worker_busy.push(busy);
+            profile.worker_items.push(count);
+        }
+    }
+    (outs, profile)
+}
+
+/// Maps `f` over `0..n` across [`worker_count`] threads and returns the
+/// results in input order plus a [`BatchProfile`]. Busy-time is only
+/// measured when `timed` (callers with disabled telemetry read no clock).
 ///
 /// Determinism: item `i`'s result depends only on `i` (`f` is `Sync` and
-/// receives nothing else), each worker writes disjoint `Option<T>` slots
-/// chosen by index, and slots are unwrapped in index order after the scope
-/// joins — so neither the worker count nor OS scheduling can reorder or
-/// alter the output.
+/// receives nothing else), each worker maps one contiguous index range, and
+/// the ranges' outputs are concatenated in range order — so neither the
+/// worker count nor OS scheduling can reorder or alter the output.
 pub fn par_map_profiled<T, F>(n: usize, f: F, timed: bool) -> (Vec<T>, BatchProfile)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return (Vec::new(), BatchProfile::default());
-    }
-    let threads = worker_count(n);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let profile = if threads <= 1 {
-        let t0 = timed.then(Instant::now);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        BatchProfile {
-            workers: 1,
-            busy_nanos: busy,
-            worker_busy: if timed { vec![busy] } else { Vec::new() },
-            worker_items: if timed { vec![n as u64] } else { Vec::new() },
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let mut busy = vec![0u64; workers];
-        let mut items = vec![0u64; workers];
-        crossbeam::scope(|s| {
-            for (((ti, slice), busy_slot), item_slot) in slots
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(busy.iter_mut())
-                .zip(items.iter_mut())
-            {
-                let f = &f;
-                s.spawn(move |_| {
-                    let t0 = timed.then(Instant::now);
-                    *item_slot = slice.len() as u64;
-                    for (j, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(f(ti * chunk + j));
-                    }
-                    if let Some(t0) = t0 {
-                        *busy_slot = t0.elapsed().as_nanos() as u64;
-                    }
-                });
-            }
-        })
-        // genet-lint: allow(panic-in-library) re-raises a child-thread panic on the caller; not a new failure mode
-        .expect("parallel worker panicked");
-        BatchProfile {
-            workers,
-            busy_nanos: busy.iter().sum(),
-            worker_busy: if timed { busy } else { Vec::new() },
-            worker_items: if timed { items } else { Vec::new() },
-        }
-    };
-    let results = slots
-        .into_iter()
-        // genet-lint: allow(panic-in-library) every index in 0..n is written exactly once by the loops above
-        .map(|slot| slot.expect("par_map worker left a slot unfilled"))
-        .collect();
-    (results, profile)
+    par_map_sharded(n, || (), |i, _| f(i), timed)
 }
 
 /// [`par_map_profiled`] with per-worker scratch state: each worker calls
@@ -270,66 +280,15 @@ where
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    if n == 0 {
-        return (Vec::new(), BatchProfile::default());
-    }
     let threads = worker_count(n);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let profile = if threads <= 1 {
-        let t0 = timed.then(Instant::now);
+    // A slice of `()` (no allocation) carries the index range.
+    let (chunks, profile) = fan_out(&mut vec![(); n], threads, timed, |lo, range| {
         let mut state = make_state();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(i, &mut state));
-        }
-        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        BatchProfile {
-            workers: 1,
-            busy_nanos: busy,
-            worker_busy: if timed { vec![busy] } else { Vec::new() },
-            worker_items: if timed { vec![n as u64] } else { Vec::new() },
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let mut busy = vec![0u64; workers];
-        let mut items = vec![0u64; workers];
-        crossbeam::scope(|s| {
-            for (((ti, slice), busy_slot), item_slot) in slots
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(busy.iter_mut())
-                .zip(items.iter_mut())
-            {
-                let f = &f;
-                let make_state = &make_state;
-                s.spawn(move |_| {
-                    let t0 = timed.then(Instant::now);
-                    *item_slot = slice.len() as u64;
-                    let mut state = make_state();
-                    for (j, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(f(ti * chunk + j, &mut state));
-                    }
-                    if let Some(t0) = t0 {
-                        *busy_slot = t0.elapsed().as_nanos() as u64;
-                    }
-                });
-            }
-        })
-        // genet-lint: allow(panic-in-library) re-raises a child-thread panic on the caller; not a new failure mode
-        .expect("parallel worker panicked");
-        BatchProfile {
-            workers,
-            busy_nanos: busy.iter().sum(),
-            worker_busy: if timed { busy } else { Vec::new() },
-            worker_items: if timed { items } else { Vec::new() },
-        }
-    };
-    let results = slots
-        .into_iter()
-        // genet-lint: allow(panic-in-library) every index in 0..n is written exactly once by the loops above
-        .map(|slot| slot.expect("par_map worker left a slot unfilled"))
-        .collect();
-    (results, profile)
+        (lo..lo + range.len())
+            .map(|i| f(i, &mut state))
+            .collect::<Vec<T>>()
+    });
+    (chunks.into_iter().flatten().collect(), profile)
 }
 
 /// Maps session id `sid` onto one of `shards` shards — the canonical
@@ -363,74 +322,37 @@ pub fn session_shard(sid: u64, shards: usize) -> usize {
 /// interior mutability.
 ///
 /// Determinism: element `i` is visited by exactly one worker (disjoint
-/// `chunks_mut` slices), `f` receives only the index and that element, and
-/// outputs are collected in index order — so the worker count remains a
-/// pure performance knob provided `f` itself is index/element-pure.
+/// chunks), `f` receives only the index and that element, and outputs are
+/// collected in index order — so the worker count remains a pure
+/// performance knob provided `f` itself is index/element-pure.
 pub fn par_map_mut_profiled<T, R, F>(items: &mut [T], f: F, timed: bool) -> (Vec<R>, BatchProfile)
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return (Vec::new(), BatchProfile::default());
-    }
-    let threads = worker_count(n);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let profile = if threads <= 1 {
-        let t0 = timed.then(Instant::now);
-        for (i, (item, slot)) in items.iter_mut().zip(slots.iter_mut()).enumerate() {
-            *slot = Some(f(i, item));
-        }
-        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        BatchProfile {
-            workers: 1,
-            busy_nanos: busy,
-            worker_busy: if timed { vec![busy] } else { Vec::new() },
-            worker_items: if timed { vec![n as u64] } else { Vec::new() },
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let mut busy = vec![0u64; workers];
-        let mut wi = vec![0u64; workers];
-        crossbeam::scope(|s| {
-            for ((((ti, islice), oslice), busy_slot), item_slot) in items
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(slots.chunks_mut(chunk))
-                .zip(busy.iter_mut())
-                .zip(wi.iter_mut())
-            {
-                let f = &f;
-                s.spawn(move |_| {
-                    let t0 = timed.then(Instant::now);
-                    *item_slot = islice.len() as u64;
-                    for (j, (item, slot)) in islice.iter_mut().zip(oslice.iter_mut()).enumerate() {
-                        *slot = Some(f(ti * chunk + j, item));
-                    }
-                    if let Some(t0) = t0 {
-                        *busy_slot = t0.elapsed().as_nanos() as u64;
-                    }
-                });
-            }
-        })
-        // genet-lint: allow(panic-in-library) re-raises a child-thread panic on the caller; not a new failure mode
-        .expect("parallel worker panicked");
-        BatchProfile {
-            workers,
-            busy_nanos: busy.iter().sum(),
-            worker_busy: if timed { busy } else { Vec::new() },
-            worker_items: if timed { wi } else { Vec::new() },
-        }
-    };
-    let results = slots
-        .into_iter()
-        // genet-lint: allow(panic-in-library) every index in 0..n is written exactly once by the loops above
-        .map(|slot| slot.expect("par_map worker left a slot unfilled"))
-        .collect();
-    (results, profile)
+    let threads = worker_count(items.len());
+    let (chunks, profile) = fan_out(items, threads, timed, |lo, chunk| {
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(j, item)| f(lo + j, item))
+            .collect::<Vec<R>>()
+    });
+    (chunks.into_iter().flatten().collect(), profile)
+}
+
+/// Sums the per-item `weights` of a finished batch by worker: entry `k`
+/// totals the items worker `k` ran, for a batch of `weights.len()` items
+/// that reported `workers` workers — the engine's own chunk rule, applied
+/// after the fact. Lets an engine whose work items are coarse re-express a
+/// [`BatchProfile`]'s `worker_items` in finer units (the serving engine
+/// fans out whole shards but counts decisions). Empty for empty `weights`.
+pub fn sum_per_worker(weights: &[u64], workers: usize) -> Vec<u64> {
+    weights
+        .chunks(chunk_len(weights.len(), workers))
+        .map(|chunk| chunk.iter().sum())
+        .collect()
 }
 
 /// Runs `f` on the calling thread, measuring its busy time only when
@@ -468,67 +390,20 @@ pub fn fold_rows_ordered(rows: &[&[f32]], out: &mut [f32], timed: bool) -> Batch
     if rows.is_empty() || out.is_empty() {
         return BatchProfile {
             workers: 1,
-            busy_nanos: 0,
-            worker_busy: Vec::new(),
-            worker_items: Vec::new(),
+            ..BatchProfile::default()
         };
     }
-    let threads = worker_count(out.len());
     let small = rows.len().saturating_mul(out.len()) < FOLD_PAR_THRESHOLD;
-    if threads <= 1 || small {
-        let t0 = timed.then(Instant::now);
+    let threads = if small { 1 } else { worker_count(out.len()) };
+    let (_, profile) = fan_out(out, threads, timed, |lo, chunk| {
+        let hi = lo + chunk.len();
         for row in rows {
-            for (o, v) in out.iter_mut().zip(row.iter()) {
+            for (o, v) in chunk.iter_mut().zip(&row[lo..hi]) {
                 *o += *v;
             }
         }
-        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        return BatchProfile {
-            workers: 1,
-            busy_nanos: busy,
-            worker_busy: if timed { vec![busy] } else { Vec::new() },
-            worker_items: if timed {
-                vec![out.len() as u64]
-            } else {
-                Vec::new()
-            },
-        };
-    }
-    let chunk = out.len().div_ceil(threads);
-    let workers = out.len().div_ceil(chunk);
-    let mut busy = vec![0u64; workers];
-    let mut items = vec![0u64; workers];
-    crossbeam::scope(|s| {
-        for (((wi, slice), busy_slot), item_slot) in out
-            .chunks_mut(chunk)
-            .enumerate()
-            .zip(busy.iter_mut())
-            .zip(items.iter_mut())
-        {
-            s.spawn(move |_| {
-                let t0 = timed.then(Instant::now);
-                let lo = wi * chunk;
-                let hi = lo + slice.len();
-                *item_slot = slice.len() as u64;
-                for row in rows {
-                    for (o, v) in slice.iter_mut().zip(row[lo..hi].iter()) {
-                        *o += *v;
-                    }
-                }
-                if let Some(t0) = t0 {
-                    *busy_slot = t0.elapsed().as_nanos() as u64;
-                }
-            });
-        }
-    })
-    // genet-lint: allow(panic-in-library) re-raises a child-thread panic on the caller; not a new failure mode
-    .expect("fold worker panicked");
-    BatchProfile {
-        workers,
-        busy_nanos: busy.iter().sum(),
-        worker_busy: if timed { busy } else { Vec::new() },
-        worker_items: if timed { items } else { Vec::new() },
-    }
+    });
+    profile
 }
 
 #[cfg(test)]
@@ -799,5 +674,97 @@ mod tests {
         assert_eq!(acc.busy_nanos, 90);
         assert_eq!(acc.worker_busy, vec![20, 40, 30]);
         assert_eq!(acc.worker_items, vec![4, 3, 1]);
+    }
+
+    /// The chunks, as index ranges, of a batch of `n` items that reported
+    /// `workers` workers, written out from the chunk rule: `ceil(n /
+    /// workers)` items each, the last one shorter.
+    fn chunk_rule(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
+        let len = n.div_ceil(workers);
+        (0..workers)
+            .map(|k| k * len..n.min((k + 1) * len))
+            .collect()
+    }
+
+    #[test]
+    fn every_wrapper_times_the_chunk_rule() {
+        for n in [1usize, 2, 7, 97] {
+            // Enough rows to clear FOLD_PAR_THRESHOLD, so the fold fans out.
+            let row = vec![1.0f32; n];
+            let rows = vec![row.as_slice(); FOLD_PAR_THRESHOLD.div_ceil(n)];
+            let weights: Vec<u64> = (1..=n as u64).collect();
+            for threads in [1usize, 2, 3, 8] {
+                override_worker_threads(Some(threads));
+                let profiles = [
+                    par_map_profiled(n, |i| i, true).1,
+                    par_map_sharded(n, || (), |i, _| i, true).1,
+                    par_map_mut_profiled(&mut vec![0u8; n], |i, _| i, true).1,
+                    fold_rows_ordered(&rows, &mut vec![0.0f32; n], true),
+                ];
+                override_worker_threads(None);
+                // Other tests move the process-wide override concurrently,
+                // so check against the worker count each batch reports.
+                for p in profiles {
+                    let chunks = chunk_rule(n, p.workers);
+                    let items: Vec<u64> = chunks.iter().map(|c| c.len() as u64).collect();
+                    assert_eq!(p.worker_items, items, "n={n} threads={threads}");
+                    assert_eq!(p.worker_busy.len(), p.workers);
+                    // The serve regroup helper sums per-item weights into
+                    // the same chunks.
+                    let sums: Vec<u64> = chunks
+                        .iter()
+                        .map(|c| weights[c.clone()].iter().sum())
+                        .collect();
+                    assert_eq!(sum_per_worker(&weights, p.workers), sums);
+                }
+            }
+        }
+        assert!(sum_per_worker(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn chunk_zero_runs_on_the_caller() {
+        let me = std::thread::current().id();
+        let (ids, profile) = fan_out(&mut [(); 8], 4, false, |_, _| std::thread::current().id());
+        assert_eq!(profile.workers, 4);
+        assert_eq!(ids[0], me);
+        assert!(ids[1..].iter().all(|id| *id != me));
+    }
+
+    /// Runs `f` and asserts it panicked with the original `"boom"` payload.
+    fn assert_boom(f: impl FnOnce()) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the batch swallowed a worker panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    #[test]
+    fn worker_panics_propagate_from_every_wrapper() {
+        // Item 0 is in chunk 0, on the calling thread; item 7 is in the last
+        // chunk, on a spawned thread whenever the batch fans out (always for
+        // the direct `fan_out` call, whose worker count is explicit).
+        for bad in [0usize, 7] {
+            let boom = |i: usize| {
+                if i == bad {
+                    panic!("boom");
+                }
+            };
+            override_worker_threads(Some(4));
+            assert_boom(|| {
+                fan_out(&mut [(); 8], 4, true, |lo, c| {
+                    (lo..lo + c.len()).for_each(boom)
+                });
+            });
+            assert_boom(|| {
+                par_map_profiled(8, boom, true);
+            });
+            assert_boom(|| {
+                par_map_sharded(8, || (), |i, _| boom(i), false);
+            });
+            assert_boom(|| {
+                par_map_mut_profiled(&mut [0u8; 8], |i, _| boom(i), true);
+            });
+            override_worker_threads(None);
+        }
     }
 }

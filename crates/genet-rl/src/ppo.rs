@@ -126,6 +126,7 @@ struct ShardScratch {
     scratch_c: MlpBatchScratch,
     gouts_a: Vec<f32>,
     gouts_c: Vec<f32>,
+    probs: Vec<f32>,
     grad_logits: Vec<f32>,
     g_ent: Vec<f32>,
     stats: Vec<SampleStats>,
@@ -188,9 +189,10 @@ impl PpoAgent {
     /// Samples an action, returning `(action, log_prob, value)`.
     pub fn act_sample(&mut self, obs: &[f32], rng: &mut StdRng) -> (usize, f32, f32) {
         let logits = self.actor.forward(obs, &mut self.scratch_a);
-        let probs = softmax::softmax(logits);
-        let action = softmax::sample_categorical(&probs, rng);
-        let log_prob = softmax::log_prob(&probs, action);
+        let mut buf = Vec::new();
+        let probs = softmax::softmax_into(logits, &mut buf);
+        let action = softmax::sample_categorical(probs, rng);
+        let log_prob = softmax::log_prob(probs, action);
         let value = self.critic.forward(obs, &mut self.scratch_c)[0];
         (action, log_prob, value)
     }
@@ -532,8 +534,8 @@ fn shard_loss_passes(
         let t = &buffer.meta()[i];
         let adv = buffer.advantages()[i];
         let logits = &logits_all[s * actions..(s + 1) * actions];
-        let probs = softmax::softmax(logits);
-        let logp = softmax::log_prob(&probs, t.action);
+        let probs = softmax::softmax_into(logits, &mut ss.probs);
+        let logp = softmax::log_prob(probs, t.action);
         let ratio = (logp - t.log_prob).exp();
         let unclipped = ratio * adv;
         let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * adv;
@@ -546,8 +548,8 @@ fn shard_loss_passes(
             ratio >= 1.0 - cfg.clip
         };
         let coef = if pass_through { ratio * adv } else { 0.0 };
-        softmax::grad_log_prob(&probs, t.action, &mut ss.grad_logits);
-        softmax::grad_entropy(&probs, &mut ss.g_ent);
+        softmax::grad_log_prob(probs, t.action, &mut ss.grad_logits);
+        softmax::grad_entropy(probs, &mut ss.g_ent);
         // Loss = −surrogate − c_ent·H; dLoss/dlogits for this sample.
         for j in 0..actions {
             ss.gouts_a[s * actions + j] =
@@ -556,7 +558,7 @@ fn shard_loss_passes(
         ss.stats.push(SampleStats {
             surrogate,
             half_sq_verr: 0.0,
-            entropy: softmax::entropy(&probs),
+            entropy: softmax::entropy(probs),
             kl: t.log_prob - logp,
         });
     }
@@ -610,36 +612,40 @@ pub struct FrozenPolicy<'a> {
 
 impl FrozenPolicy<'_> {
     /// Samples an action for `obs`, returning `(action, log_prob, value)`.
-    /// Forward passes run in the caller-provided scratch buffers.
+    /// Forward passes and the action distribution run in the
+    /// caller-provided scratch buffers.
     pub fn act_sample(
         &self,
         obs: &[f32],
         scratch_a: &mut MlpScratch,
         scratch_c: &mut MlpScratch,
+        probs: &mut Vec<f32>,
         rng: &mut StdRng,
     ) -> (usize, f32, f32) {
         let logits = self.actor.forward(obs, scratch_a);
-        let probs = softmax::softmax(logits);
-        let action = softmax::sample_categorical(&probs, rng);
-        let log_prob = softmax::log_prob(&probs, action);
+        let probs = softmax::softmax_into(logits, probs);
+        let action = softmax::sample_categorical(probs, rng);
+        let log_prob = softmax::log_prob(probs, action);
         let value = self.critic.forward(obs, scratch_c)[0];
         (action, log_prob, value)
     }
 
     /// Runs one full episode on `env` with the episode-local `rng`,
     /// returning its transitions as an [`EpisodeBuffer`]. Allocates its own
-    /// forward-pass scratch once per episode (observations are copied into
-    /// the buffer's flat arena, so the step loop itself allocates nothing),
-    /// and concurrent calls never share mutable state.
+    /// forward-pass and action-distribution scratch once per episode
+    /// (observations are copied into the buffer's flat arena, so the step
+    /// loop itself allocates nothing), and concurrent calls never share
+    /// mutable state.
     pub fn rollout_episode(&self, env: &mut dyn Env, rng: &mut StdRng) -> EpisodeBuffer {
         let mut scratch_a = self.actor.scratch();
         let mut scratch_c = self.critic.scratch();
+        let mut probs = Vec::with_capacity(self.action_count());
         let mut obs = vec![0.0f32; env.obs_dim()];
         let mut episode = EpisodeBuffer::new();
         loop {
             env.observe(&mut obs);
             let (action, log_prob, value) =
-                self.act_sample(&obs, &mut scratch_a, &mut scratch_c, rng);
+                self.act_sample(&obs, &mut scratch_a, &mut scratch_c, &mut probs, rng);
             let out = env.step(action);
             episode.push_step(
                 &obs,
@@ -754,8 +760,8 @@ impl PpoPolicy {
         match self.mode {
             PolicyMode::Greedy => softmax::argmax(logits),
             PolicyMode::Stochastic => {
-                let probs = softmax::softmax(logits);
-                softmax::sample_categorical(&probs, rng)
+                let mut buf = Vec::new();
+                softmax::sample_categorical(softmax::softmax_into(logits, &mut buf), rng)
             }
         }
     }

@@ -18,11 +18,14 @@ pub fn softmax_inplace(logits: &mut [f32]) {
     }
 }
 
-/// Softmax into a fresh vector.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let mut out = logits.to_vec();
-    softmax_inplace(&mut out);
-    out
+/// Softmax of `logits` into the caller's reusable `probs` buffer, which is
+/// resized to fit (a warm buffer allocates nothing); returns the
+/// probabilities.
+pub(crate) fn softmax_into<'a>(logits: &[f32], probs: &'a mut Vec<f32>) -> &'a [f32] {
+    probs.clear();
+    probs.extend_from_slice(logits);
+    softmax_inplace(probs);
+    probs
 }
 
 /// Samples an index from a probability vector.
@@ -84,6 +87,12 @@ pub fn grad_entropy(probs: &[f32], out: &mut [f32]) {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    fn softmax(logits: &[f32]) -> Vec<f32> {
+        let mut probs = Vec::new();
+        softmax_into(logits, &mut probs);
+        probs
+    }
 
     #[test]
     fn softmax_sums_to_one_and_orders() {

@@ -430,14 +430,10 @@ impl<'p, S: SessionSource> ServeEngine<'p, S> {
         if collector.enabled() {
             if !profile.worker_items.is_empty() {
                 // Re-express per-worker items in decisions instead of
-                // shards (worker i ran the i-th contiguous shard chunk),
-                // so `sum(worker_items) == items` holds in BENCH files.
-                let chunk = reports.len().div_ceil(profile.worker_items.len());
-                let mut per_worker = vec![0u64; profile.worker_items.len()];
-                for (i, r) in reports.iter().enumerate() {
-                    per_worker[i / chunk] += r.decisions;
-                }
-                profile.worker_items = per_worker;
+                // shards, so `sum(worker_items) == items` holds in BENCH
+                // files.
+                let per_shard: Vec<u64> = reports.iter().map(|r| r.decisions).collect();
+                profile.worker_items = genet_par::sum_per_worker(&per_shard, profile.workers);
             }
             collector.counter_add(counters::SERVE_DECISIONS, decisions);
             collector.counter_add(counters::SERVE_BUSY_NANOS, profile.busy_nanos);

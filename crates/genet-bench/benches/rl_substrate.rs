@@ -28,9 +28,9 @@ fn bench_mlp(c: &mut Criterion) {
     });
 }
 
-/// Scalar per-sample forward/backward vs the batched row-major kernels on
-/// the same 32-sample minibatch shard. The batched variants amortize the
-/// per-call layer walk and keep weights hot across rows.
+/// Scalar per-sample forward/backward vs the batched kernels on the same
+/// 32-sample batch. The batched variants amortize the per-call layer walk
+/// and keep weights hot across rows.
 fn bench_mlp_batch(c: &mut Criterion) {
     const BATCH: usize = 32;
     const DIM: usize = 20;
@@ -74,11 +74,12 @@ fn bench_mlp_batch(c: &mut Criterion) {
     });
     c.bench_function("mlp_backward_batch_x32", |b| {
         let mut scratch = MlpBatchScratch::default();
-        let mut rows = vec![0.0f32; BATCH * mlp.param_count()];
+        let mut grads = vec![0.0f32; mlp.param_count()];
         b.iter(|| {
+            grads.iter_mut().for_each(|g| *g = 0.0);
             mlp.forward_batch(black_box(&inputs), BATCH, &mut scratch);
-            mlp.backward_batch(&gouts, BATCH, &mut scratch, &mut rows);
-            black_box(rows[0])
+            mlp.backward_batch_accum(&gouts, BATCH, &mut scratch, &mut grads);
+            black_box(grads[0])
         })
     });
 }

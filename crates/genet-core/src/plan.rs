@@ -198,10 +198,11 @@ impl PlanValues {
 
 /// Executes a plan: answers memoized tasks from `cache`, fans every
 /// remaining task through one `par_map_profiled` batch (telemetry stage
-/// `gap_eval`), feeds fresh results back into the cache, and bumps the
-/// `gap_cache_hit` / `gap_cache_miss` counters. Task results depend only on
-/// `(kind, cfg, seed)` — never on batch composition — so caching, fusion
-/// and the worker count are all invisible in the output bits.
+/// `gap_eval`) in environment order, feeds fresh results back into the
+/// cache, and bumps the `gap_cache_hit` / `gap_cache_miss` counters. Task
+/// results depend only on `(kind, cfg, seed)` — never on batch composition
+/// — so caching, fusion, task order and the worker count are all invisible
+/// in the output bits.
 fn execute<P: Policy + Sync>(
     scenario: &dyn Scenario,
     policy: &P,
@@ -226,6 +227,11 @@ fn execute<P: Policy + Sync>(
             None => todo.push((kind, i)),
         }
     }
+    // Fan out in `(env index, kind)` order, not plan order: plan order puts
+    // every baseline rollout (MPC is expensive) in the first chunks and
+    // every policy rollout in the last, so one worker would carry most of
+    // the batch. Values are keyed by `(kind, i)`, so no result bit moves.
+    todo.sort_by_key(|&(kind, i)| (i, kind));
     let (fresh, profile) = par_map_profiled(
         todo.len(),
         |j| {

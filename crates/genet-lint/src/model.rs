@@ -50,7 +50,7 @@ pub struct ClosureItem {
     /// blind spot).
     pub locals: BTreeSet<String>,
     /// Name of the parallel entry point this closure is an argument of
-    /// (`par_map`, `par_map_profiled`, `par_map_with`, `spawn`), if any.
+    /// (one of [`PAR_ENTRY_POINTS`]), if any.
     pub par_entry: Option<&'static str>,
 }
 
@@ -75,7 +75,14 @@ pub struct FileModel {
 }
 
 /// Parallel entry points whose closure arguments run on worker threads.
-pub const PAR_ENTRY_POINTS: [&str; 4] = ["par_map", "par_map_profiled", "par_map_with", "spawn"];
+pub const PAR_ENTRY_POINTS: [&str; 6] = [
+    "par_map",
+    "par_map_profiled",
+    "par_map_sharded",
+    "par_map_mut_profiled",
+    "par_map_with",
+    "spawn",
+];
 
 /// Builds the model for one file.
 pub fn build(source: &str) -> FileModel {

@@ -213,7 +213,13 @@ const INTERIOR_MUT_TYPES: [&str; 4] = ["Mutex", "RefCell", "Cell", "Atomic"];
 /// excluded from `par-shared-mutable-capture` (the engine's own spawn
 /// closures legitimately write disjoint `&mut` slots) but included for
 /// `unordered-float-reduction`.
-const CAPTURE_RULE_ENTRIES: [&str; 3] = ["par_map", "par_map_profiled", "par_map_with"];
+const CAPTURE_RULE_ENTRIES: [&str; 5] = [
+    "par_map",
+    "par_map_profiled",
+    "par_map_sharded",
+    "par_map_mut_profiled",
+    "par_map_with",
+];
 
 /// Scans one file's structural model. Suppression is applied by the caller.
 pub fn scan_model(model: &FileModel, kind: TargetKind, file: &str) -> Vec<Finding> {

@@ -72,6 +72,36 @@ pub fn allowed(n: usize) -> Vec<usize> {
     hits
 }
 
+pub fn positive_sharded(n: usize) -> usize {
+    let mut calls = 0usize;
+    genet_par::par_map_sharded(n, || 0u64, |i, _scratch| {
+        calls += 1; // POSITIVE line 78 — captured counter in a sharded map
+        i
+    });
+    calls
+}
+
+pub fn negative_sharded_scratch(n: usize) -> Vec<u64> {
+    let (out, _) = genet_par::par_map_sharded(n, || vec![0u64; 4], |i, scratch| {
+        scratch[0] = i as u64; // the per-worker scratch is the closure's own
+        scratch[0]
+    }, false);
+    out
+}
+
+pub fn positive_mut_items(items: &mut [u64], seen: &mut Vec<usize>) {
+    genet_par::par_map_mut_profiled(items, |i, item| {
+        *item += 1;
+        seen.push(i); // POSITIVE line 95 — mutating method on captured receiver
+    }, false);
+}
+
+pub fn negative_mut_items(items: &mut [u64]) {
+    genet_par::par_map_mut_profiled(items, |i, item| {
+        *item += i as u64; // the element handed to this index: disjoint by construction
+    }, false);
+}
+
 #[cfg(test)]
 mod tests {
     pub fn capture_ok_in_tests(n: usize) {

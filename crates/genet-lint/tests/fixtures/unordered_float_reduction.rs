@@ -53,6 +53,38 @@ pub fn allowed(n: usize) -> f32 {
     acc
 }
 
+pub fn positive_sharded_sum(n: usize) -> f64 {
+    let mut total = 0.0f64;
+    genet_par::par_map_sharded(n, || (), |i, _| {
+        total += i as f64; // POSITIVE line 59 — float accumulation across items
+        i
+    }, false);
+    total
+}
+
+pub fn negative_sharded_local(n: usize) -> Vec<f64> {
+    let (out, _) = genet_par::par_map_sharded(n, || vec![0.0f64; 4], |i, scratch| {
+        let s: f64 = scratch.iter().sum(); // reduction over the worker's own scratch
+        s + i as f64
+    }, false);
+    out
+}
+
+pub fn positive_mut_sum(items: &mut [f32], weights: &[f32]) {
+    genet_par::par_map_mut_profiled(items, |_i, item| {
+        let s: f32 = weights.iter().sum(); // POSITIVE line 75 — reduction over captured floats
+        *item = s;
+    }, false);
+}
+
+pub fn negative_mut_local_sum(items: &mut [Vec<f32>]) -> Vec<f32> {
+    let (sums, _) = genet_par::par_map_mut_profiled(items, |_i, item| {
+        let s: f32 = item.iter().sum(); // per-item reduction over the item itself
+        s
+    }, false);
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     pub fn reduction_ok_in_tests(n: usize) {

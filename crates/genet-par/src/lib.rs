@@ -357,8 +357,7 @@ pub fn sum_per_worker(weights: &[u64], workers: usize) -> Vec<u64> {
 
 /// Runs `f` on the calling thread, measuring its busy time only when
 /// `timed` — the 1-worker analogue of [`par_map_profiled`]'s accounting,
-/// for engines with a dedicated serial fast path (e.g. the PPO update's
-/// direct-accumulation branch).
+/// for serial work that wants the same busy-time bookkeeping.
 pub fn time_serial<T>(timed: bool, f: impl FnOnce() -> T) -> (T, u64) {
     let t0 = timed.then(Instant::now);
     let out = f();
@@ -377,9 +376,10 @@ const FOLD_PAR_THRESHOLD: usize = 1 << 16;
 /// order, so the per-parameter addition sequence is identical for any
 /// worker count or partition (only *independent* sums run concurrently).
 ///
-/// This is the reduction step of the parallel PPO update engine
-/// (DESIGN.md §11): `rows` are per-sample gradient contributions and `out`
-/// is the minibatch gradient accumulator.
+/// This is the fixed-order reduction genet-lint's
+/// `unordered-float-reduction` rule points parallel code at: a closure
+/// that would add floats into shared state returns per-item rows instead,
+/// and the caller folds them here (DESIGN.md §11, §13).
 ///
 /// # Panics
 /// Panics if any row's length differs from `out.len()`.

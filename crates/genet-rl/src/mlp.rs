@@ -45,9 +45,10 @@ pub struct MlpScratch {
 /// sample s)` at `i * batch + s`), so the hot kernel loops iterate across
 /// the batch axis — independent samples, one per SIMD lane — while each
 /// lane replays the exact scalar floating-point sequence. The public
-/// inputs/outputs of [`Mlp::forward_batch`] / [`Mlp::backward_batch`] stay
-/// sample-major; the kernels transpose at the (small) input/output edges
-/// only. Grows on demand and is reusable across minibatches of any size.
+/// inputs/outputs of [`Mlp::forward_batch`] / [`Mlp::backward_batch_accum`]
+/// stay sample-major; the kernels transpose at the (small) input/output
+/// edges only. Grows on demand and is reusable across minibatches of any
+/// size.
 #[derive(Debug, Clone, Default)]
 pub struct MlpBatchScratch {
     /// Sample capacity the buffers are currently sized for.
@@ -59,8 +60,8 @@ pub struct MlpBatchScratch {
     /// Sample-major copy of the last layer's outputs (the API return).
     out: Vec<f32>,
     /// Sample-major staging copy of one layer's activations for the
-    /// weight-gradient kernels (`batch × layer width`): the gradient rows
-    /// are contiguous per `(sample, output)`, so they want the inputs
+    /// weight-gradient kernel (`batch × layer width`): the weight rows are
+    /// contiguous per output, so the kernel wants each sample's inputs
     /// contiguous too — a 13 KB transpose buys a vectorized inner loop.
     xt: Vec<f32>,
     /// Sample-major staging copy of one layer's deltas, same purpose.
@@ -228,9 +229,8 @@ impl Mlp {
 
     /// Batched forward pass over `batch` samples stored row-major in
     /// `inputs` (`batch × input_dim`). Leaves all intermediate activations
-    /// in `scratch` for a subsequent [`Mlp::backward_batch`] /
-    /// [`Mlp::backward_batch_accum`] and returns the flat
-    /// `batch × output_dim` output rows (sample-major).
+    /// in `scratch` for a subsequent [`Mlp::backward_batch_accum`] and
+    /// returns the flat `batch × output_dim` output rows (sample-major).
     ///
     /// Bit-compatibility: each sample is computed with the exact
     /// floating-point operation sequence of the scalar [`Mlp::forward`] —
@@ -332,74 +332,6 @@ impl Mlp {
         &scratch.out[..batch * n_out]
     }
 
-    /// Batched backward pass. `grad_out` holds `dLoss/dOutput` rows
-    /// (`batch × output_dim`) for the batch whose forward pass most recently
-    /// filled `scratch`. Writes sample `s`'s parameter gradients into row
-    /// `s` of `per_sample_grads` (`batch × param_count`, zeroed here) —
-    /// rows are *not* summed, so a reducer can fold them in any fixed
-    /// sample order.
-    ///
-    /// Bit-compatibility: per sample, every parameter receives exactly the
-    /// operation sequence of the scalar [`Mlp::backward`] (including the
-    /// zero-delta skip, which leaves row entries at +0.0).
-    ///
-    /// # Panics
-    /// Panics on any size mismatch.
-    pub fn backward_batch(
-        &self,
-        grad_out: &[f32],
-        batch: usize,
-        scratch: &mut MlpBatchScratch,
-        per_sample_grads: &mut [f32],
-    ) {
-        let p = self.params.len();
-        let n_layers = self.sizes.len() - 1;
-        assert_eq!(
-            grad_out.len(),
-            batch * self.output_dim(),
-            "grad dim mismatch"
-        );
-        assert_eq!(per_sample_grads.len(), batch * p, "grads buffer mismatch");
-        assert!(
-            scratch.acts.len() == self.sizes.len() && scratch.batch >= batch,
-            "scratch not filled by a matching forward_batch"
-        );
-        per_sample_grads.iter_mut().for_each(|g| *g = 0.0);
-        self.seed_output_deltas(grad_out, batch, scratch);
-        for l in (0..n_layers).rev() {
-            let (n_in, n_out) = (self.sizes[l], self.sizes[l + 1]);
-            self.fold_tanh_deltas(l, batch, scratch);
-            // Parameter grads, one row per sample. Stage the layer's
-            // activations and deltas back to sample-major first so the
-            // inner `g += d·x` loop runs over two contiguous rows.
-            {
-                transpose_to_rows(&scratch.acts[l], batch, n_in, &mut scratch.xt);
-                transpose_to_rows(&scratch.deltas[l + 1], batch, n_out, &mut scratch.dt);
-                let xt = &scratch.xt[..batch * n_in];
-                let dt = &scratch.dt[..batch * n_out];
-                for (s, grads) in per_sample_grads.chunks_exact_mut(p).enumerate() {
-                    let x = &xt[s * n_in..(s + 1) * n_in];
-                    let d_row = &dt[s * n_out..(s + 1) * n_out];
-                    let gw = &mut grads[self.w_off[l]..self.w_off[l] + n_out * n_in];
-                    for (o, &d) in d_row.iter().enumerate() {
-                        if d == 0.0 {
-                            continue;
-                        }
-                        let row = &mut gw[o * n_in..(o + 1) * n_in];
-                        for (g, xi) in row.iter_mut().zip(x.iter()) {
-                            *g += d * xi;
-                        }
-                    }
-                    let gb = &mut grads[self.b_off[l]..self.b_off[l] + n_out];
-                    for (g, d) in gb.iter_mut().zip(d_row.iter()) {
-                        *g += d;
-                    }
-                }
-            }
-            self.propagate_input_deltas(l, batch, scratch);
-        }
-    }
-
     /// Transposes the sample-major `grad_out` rows into the unit-major
     /// top-layer delta buffer.
     fn seed_output_deltas(&self, grad_out: &[f32], batch: usize, scratch: &mut MlpBatchScratch) {
@@ -471,21 +403,18 @@ impl Mlp {
         }
     }
 
-    /// Batched backward pass that *accumulates* the whole batch's parameter
-    /// gradients directly into `grads` (same layout/length as `params`),
-    /// iterating samples in ascending order — the serial reference sequence
-    /// — without materializing per-sample rows. This is the serial fast
-    /// path of the PPO update engine: when only one worker would run, the
-    /// `batch × param_count` row buffer of [`Mlp::backward_batch`] plus the
-    /// ordered fold is pure overhead, and folding rows in sample order is
-    /// bit-identical to accumulating in sample order (the accumulator
-    /// starts at +0.0 and round-to-nearest addition can never produce
-    /// −0.0 from it, so `acc += (0.0 + c)` ≡ `acc += c`; DESIGN.md §11).
+    /// Batched backward pass. `grad_out` holds `dLoss/dOutput` rows
+    /// (`batch × output_dim`) for the batch whose forward pass most recently
+    /// filled `scratch`; the whole batch's parameter gradients are
+    /// *accumulated* into `grads` (same layout/length as `params`),
+    /// iterating samples in ascending order. This is the backward half of
+    /// each network pass of the PPO update (DESIGN.md §11).
     ///
-    /// Per parameter, the additions land in sample order exactly as the
-    /// scalar [`Mlp::backward`] loop over samples would produce them
-    /// (parameters belong to exactly one layer, so the layer-major walk
-    /// does not reorder any accumulator's sequence).
+    /// Bit-compatibility: per parameter, the additions land in sample order
+    /// exactly as the scalar [`Mlp::backward`] loop over samples would
+    /// produce them, including its zero-delta skip (parameters belong to
+    /// exactly one layer, so the layer-major walk does not reorder any
+    /// accumulator's sequence).
     ///
     /// # Panics
     /// Panics on any size mismatch.
@@ -723,44 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn backward_batch_rows_bit_equal_scalar_backward() {
-        let mlp = Mlp::new(&[4, 32, 16, 3], 22);
-        let batch = 9;
-        let inputs = test_batch(4, batch);
-        // Per-sample dL/dy rows; include exact zeros to exercise the
-        // zero-delta skip.
-        let gouts: Vec<f32> = (0..batch * 3)
-            .map(|i| {
-                if i % 5 == 0 {
-                    0.0
-                } else {
-                    (i % 7) as f32 * 0.1 - 0.3
-                }
-            })
-            .collect();
-        let mut bs = MlpBatchScratch::default();
-        let _ = mlp.forward_batch(&inputs, batch, &mut bs);
-        let p = mlp.param_count();
-        let mut rows = vec![0.0f32; batch * p];
-        mlp.backward_batch(&gouts, batch, &mut bs, &mut rows);
-        let mut s = mlp.scratch();
-        for b in 0..batch {
-            let _ = mlp.forward(&inputs[b * 4..(b + 1) * 4], &mut s);
-            let mut grads = vec![0.0f32; p];
-            mlp.backward(&gouts[b * 3..(b + 1) * 3], &mut s, &mut grads);
-            let row = &rows[b * p..(b + 1) * p];
-            for (i, (scalar, batched)) in grads.iter().zip(row.iter()).enumerate() {
-                assert_eq!(
-                    scalar.to_bits(),
-                    batched.to_bits(),
-                    "sample {b} param {i}: scalar {scalar} vs batched {batched}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn backward_batch_accum_bit_equal_rows_fold_and_scalar() {
+    fn backward_batch_accum_bit_equal_scalar() {
         let mlp = Mlp::new(&[4, 32, 16, 3], 23);
         let batch = 11;
         let inputs = test_batch(4, batch);
@@ -775,7 +667,7 @@ mod tests {
             .collect();
         let p = mlp.param_count();
 
-        // Reference 1: scalar per-sample accumulation (the serial loop).
+        // Reference: scalar per-sample accumulation (the serial loop).
         let mut s = mlp.scratch();
         let mut scalar = vec![0.0f32; p];
         for b in 0..batch {
@@ -783,19 +675,8 @@ mod tests {
             mlp.backward(&gouts[b * 3..(b + 1) * 3], &mut s, &mut scalar);
         }
 
-        // Reference 2: per-sample rows folded in sample order.
+        // Under test: batched accumulation.
         let mut bs = MlpBatchScratch::default();
-        let _ = mlp.forward_batch(&inputs, batch, &mut bs);
-        let mut rows = vec![0.0f32; batch * p];
-        mlp.backward_batch(&gouts, batch, &mut bs, &mut rows);
-        let mut folded = vec![0.0f32; p];
-        for row in rows.chunks_exact(p) {
-            for (o, v) in folded.iter_mut().zip(row.iter()) {
-                *o += *v;
-            }
-        }
-
-        // Under test: direct batched accumulation.
         let _ = mlp.forward_batch(&inputs, batch, &mut bs);
         let mut accum = vec![0.0f32; p];
         mlp.backward_batch_accum(&gouts, batch, &mut bs, &mut accum);
@@ -806,13 +687,6 @@ mod tests {
                 accum[i].to_bits(),
                 "param {i}: scalar {} vs accum {}",
                 scalar[i],
-                accum[i]
-            );
-            assert_eq!(
-                folded[i].to_bits(),
-                accum[i].to_bits(),
-                "param {i}: rows-fold {} vs accum {}",
-                folded[i],
                 accum[i]
             );
         }

@@ -81,55 +81,134 @@ pub struct UpdateStats {
 pub struct UpdateProfile {
     /// Gradient samples processed (`buffer len × epochs`).
     pub samples: u64,
-    /// Most worker threads any minibatch fanned out over.
+    /// Most worker threads any minibatch fanned out over (at most 2: one
+    /// per network).
     pub workers: usize,
     /// Summed per-worker busy time across all minibatches (0 unless timing
     /// was requested).
     pub busy_nanos: u64,
     /// Per-worker accounting summed by worker index across all minibatch
-    /// fan-outs and gradient folds of the update (empty unless timing was
-    /// requested). Worker indices are a pure function of the batch shape,
-    /// so the aggregation order is deterministic.
+    /// fan-outs of the update (empty unless timing was requested). An item
+    /// is one network's pass over one sample, so the items sum to
+    /// `2 × samples`. Worker indices are a pure function of the batch
+    /// shape, so the aggregation order is deterministic.
     pub stage: genet_par::BatchProfile,
 }
 
-/// Samples per parallel gradient work item. Fixed (never derived from the
-/// worker count) so shard boundaries — and therefore every per-sample
-/// gradient row — are identical at any thread count.
-const UPDATE_SHARD: usize = 32;
-
-/// Per-sample loss-term contributions, folded into minibatch stats in
-/// sample order with the exact op sequence of the serial loop.
+/// Which network a [`NetPass`] trains.
 #[derive(Debug, Clone, Copy)]
-struct SampleStats {
-    surrogate: f32,
-    half_sq_verr: f32,
-    entropy: f32,
-    kl: f32,
+enum Net {
+    Actor,
+    Critic,
 }
 
-/// One gradient shard's output: per-sample gradient rows for both nets
-/// plus per-sample stats, all in shard-index order.
-struct ShardOut {
-    rows_a: Vec<f32>,
-    rows_c: Vec<f32>,
-    stats: Vec<SampleStats>,
-}
-
-/// Reusable buffers for one shard's batched passes. The serial fast path
-/// keeps one instance alive across a whole update (so no per-shard
-/// allocation at all); the parallel path builds one per shard task.
-#[derive(Default)]
-struct ShardScratch {
-    xs: Vec<f32>,
-    scratch_a: MlpBatchScratch,
-    scratch_c: MlpBatchScratch,
-    gouts_a: Vec<f32>,
-    gouts_c: Vec<f32>,
+/// One network's half of every minibatch of an update, with buffers that
+/// live for the whole update: batched forward/backward scratch, the
+/// `dLoss/dOutput` rows, and the minibatch gradient. The update fans each
+/// minibatch out over one actor pass and one critic pass (DESIGN.md §11).
+struct NetPass {
+    net: Net,
+    scratch: MlpBatchScratch,
+    gouts: Vec<f32>,
+    /// The minibatch gradient, summed in ascending sample order.
+    grads: Vec<f32>,
+    /// Softmax and logit-gradient rows of one sample (actor only).
     probs: Vec<f32>,
     grad_logits: Vec<f32>,
     g_ent: Vec<f32>,
-    stats: Vec<SampleStats>,
+}
+
+impl NetPass {
+    fn new(net: Net, mlp: &Mlp) -> Self {
+        Self {
+            net,
+            scratch: MlpBatchScratch::default(),
+            gouts: Vec::new(),
+            grads: vec![0.0; mlp.param_count()],
+            probs: Vec::new(),
+            grad_logits: vec![0.0; mlp.output_dim()],
+            g_ent: vec![0.0; mlp.output_dim()],
+        }
+    }
+
+    /// The actor's pass over minibatch `idxs` (observations staged in `xs`):
+    /// batched forward, the PPO-clip + entropy `dLoss/dlogits` rows, and a
+    /// batched backward into `self.grads`. Returns the minibatch sums of
+    /// −surrogate, entropy and KL, each added in sample order
+    /// (`value_loss` stays 0).
+    fn actor(
+        &mut self,
+        actor: &Mlp,
+        cfg: &PpoConfig,
+        buffer: &RolloutBuffer,
+        idxs: &[usize],
+        xs: &[f32],
+        inv: f32,
+    ) -> UpdateStats {
+        let m = idxs.len();
+        let actions = actor.output_dim();
+        self.gouts.resize(m * actions, 0.0);
+        let mut sums = UpdateStats::default();
+        let logits_all = actor.forward_batch(xs, m, &mut self.scratch);
+        for (s, &i) in idxs.iter().enumerate() {
+            let t = &buffer.meta()[i];
+            let adv = buffer.advantages()[i];
+            let logits = &logits_all[s * actions..(s + 1) * actions];
+            let probs = softmax::softmax_into(logits, &mut self.probs);
+            let logp = softmax::log_prob(probs, t.action);
+            let ratio = (logp - t.log_prob).exp();
+            let unclipped = ratio * adv;
+            let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * adv;
+            let surrogate = unclipped.min(clipped);
+            // Gradient flows only when the unclipped branch is active (the
+            // standard PPO subgradient).
+            let pass_through = if adv >= 0.0 {
+                ratio <= 1.0 + cfg.clip
+            } else {
+                ratio >= 1.0 - cfg.clip
+            };
+            let coef = if pass_through { ratio * adv } else { 0.0 };
+            softmax::grad_log_prob(probs, t.action, &mut self.grad_logits);
+            softmax::grad_entropy(probs, &mut self.g_ent);
+            // Loss = −surrogate − c_ent·H; dLoss/dlogits for this sample.
+            for j in 0..actions {
+                self.gouts[s * actions + j] =
+                    (-coef * self.grad_logits[j] - cfg.entropy_coef * self.g_ent[j]) * inv;
+            }
+            sums.policy_loss -= surrogate;
+            sums.entropy += softmax::entropy(probs);
+            sums.approx_kl += t.log_prob - logp;
+        }
+        self.grads.iter_mut().for_each(|g| *g = 0.0);
+        actor.backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
+        sums
+    }
+
+    /// The critic's pass over the same minibatch: batched forward, the
+    /// value-error rows, and a batched backward into `self.grads`. Returns
+    /// the minibatch sum of ½·verr², added in sample order (only
+    /// `value_loss` is set).
+    fn critic(
+        &mut self,
+        critic: &Mlp,
+        buffer: &RolloutBuffer,
+        idxs: &[usize],
+        xs: &[f32],
+        inv: f32,
+    ) -> UpdateStats {
+        let m = idxs.len();
+        self.gouts.resize(m, 0.0);
+        let mut sums = UpdateStats::default();
+        let values = critic.forward_batch(xs, m, &mut self.scratch);
+        for (s, &i) in idxs.iter().enumerate() {
+            let verr = values[s] - buffer.returns()[i];
+            self.gouts[s] = verr * inv;
+            sums.value_loss += 0.5 * verr * verr;
+        }
+        self.grads.iter_mut().for_each(|g| *g = 0.0);
+        critic.backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
+        sums
+    }
 }
 
 /// The trainable PPO agent.
@@ -247,22 +326,16 @@ impl PpoAgent {
     /// telemetry event. `timed` requests busy-time measurement (callers
     /// with disabled telemetry read no clock).
     ///
-    /// Gradient computation fans out across the deterministic parallel
-    /// engine: the shuffled minibatch is cut into fixed-size shards
-    /// ([`UPDATE_SHARD`]), each shard runs batched forward/backward passes
-    /// producing *per-sample* gradient rows, and the rows are reduced into
-    /// the minibatch gradient strictly in sample-index order
-    /// (`genet_par::fold_rows_ordered`). Every per-parameter floating-point
-    /// addition therefore happens in the exact sequence of a serial
-    /// sample-at-a-time loop, so weights and [`UpdateStats`] are
-    /// bit-identical at any worker count (DESIGN.md §11).
-    ///
-    /// When the resolved worker count is 1 (single-core hosts,
-    /// `GENET_THREADS=1`), a serial fast path runs the same batched kernels
-    /// but accumulates each shard's gradients directly in sample order
-    /// ([`Mlp::backward_batch_accum`]) — the identical FP sequence without
-    /// materializing, writing and re-reading `batch × param_count` gradient
-    /// rows per shard.
+    /// Each minibatch is one fan-out over two network passes
+    /// (`genet_par::par_map_mut_profiled`): the actor's forward, clipped
+    /// surrogate + entropy loss rows and backward on one worker, the
+    /// critic's forward, value error and backward on another (both on the
+    /// caller at one worker). Each pass runs its whole minibatch through
+    /// [`Mlp::forward_batch`] and [`Mlp::backward_batch_accum`], so every
+    /// parameter's gradient is summed in ascending sample order — the
+    /// serial per-sample FP sequence — and the two nets share no mutable
+    /// state. Weights and [`UpdateStats`] are therefore bit-identical at
+    /// any worker count (DESIGN.md §11).
     pub fn update_profiled(
         &mut self,
         buffer: &mut RolloutBuffer,
@@ -280,10 +353,11 @@ impl PpoAgent {
         } = self;
         let n = buffer.len();
         let mut indices: Vec<usize> = (0..n).collect();
-        let pa = actor.param_count();
-        let pc = critic.param_count();
-        let mut grads_a = vec![0.0f32; pa];
-        let mut grads_c = vec![0.0f32; pc];
+        let mut passes = [
+            NetPass::new(Net::Actor, actor),
+            NetPass::new(Net::Critic, critic),
+        ];
+        let mut xs: Vec<f32> = Vec::new();
         let mut stats = UpdateStats::default();
         let mut stat_batches = 0usize;
         let mut profile = UpdateProfile {
@@ -293,115 +367,55 @@ impl PpoAgent {
             stage: genet_par::BatchProfile::default(),
         };
 
-        let mut ss = ShardScratch::default();
         for _epoch in 0..cfg.epochs {
             indices.shuffle(rng);
             for chunk in indices.chunks(cfg.minibatch) {
                 let inv = 1.0 / chunk.len() as f32;
-                // Shard boundaries depend only on the chunk, never on the
-                // worker count.
-                let shards: Vec<&[usize]> = chunk.chunks(UPDATE_SHARD).collect();
                 let buffer = &*buffer;
-                grads_a.iter_mut().for_each(|g| *g = 0.0);
-                grads_c.iter_mut().for_each(|g| *g = 0.0);
-                let mut mb_policy_loss = 0.0f32;
-                let mut mb_value_loss = 0.0f32;
-                let mut mb_entropy = 0.0f32;
-                let mut mb_kl = 0.0f32;
-                // genet-lint: allow(thread-count-branching) serial fast path is bit-identical to the sharded replay (update_thread_invariance proves it)
-                if genet_par::worker_count(shards.len()) <= 1 {
-                    // Serial fast path: one worker would replay the sample
-                    // order anyway, so skip the sharding, the per-sample
-                    // rows and the fold — one batched pass over the whole
-                    // minibatch, accumulating gradients directly. The
-                    // per-parameter addition sequence is still ascending
-                    // sample order, so this is bit-identical
-                    // (`Mlp::backward_batch_accum`) and free of the rows'
-                    // O(batch × params) memory traffic.
-                    let ((), nanos) = genet_par::time_serial(timed, || {
-                        shard_loss_passes(actor, critic, cfg, buffer, chunk, inv, &mut ss);
-                        let m = chunk.len();
-                        actor.backward_batch_accum(&ss.gouts_a, m, &mut ss.scratch_a, &mut grads_a);
-                        critic.backward_batch_accum(
-                            &ss.gouts_c,
-                            m,
-                            &mut ss.scratch_c,
-                            &mut grads_c,
-                        );
-                        for st in &ss.stats {
-                            mb_policy_loss -= st.surrogate;
-                            mb_value_loss += st.half_sq_verr;
-                            mb_entropy += st.entropy;
-                            mb_kl += st.kl;
-                        }
-                    });
-                    profile.busy_nanos += nanos;
-                    if timed {
-                        profile.stage.absorb(&genet_par::BatchProfile {
-                            workers: 1,
-                            busy_nanos: nanos,
-                            worker_busy: vec![nanos],
-                            worker_items: vec![chunk.len() as u64],
-                        });
-                    }
-                } else {
-                    let (shard_outs, bp) = genet_par::par_map_profiled(
-                        shards.len(),
-                        |si| compute_shard(actor, critic, cfg, buffer, shards[si], inv),
-                        timed,
-                    );
-                    profile.workers = profile.workers.max(bp.workers);
-                    profile.busy_nanos += bp.busy_nanos;
-                    profile.stage.absorb(&bp);
-
-                    // Ordered reduction: rows enter each accumulator in
-                    // ascending sample order — the serial FP addition
-                    // sequence.
-                    let rows_a: Vec<&[f32]> = shard_outs
-                        .iter()
-                        .flat_map(|so| so.rows_a.chunks_exact(pa))
-                        .collect();
-                    let fold_a = genet_par::fold_rows_ordered(&rows_a, &mut grads_a, timed);
-                    let rows_c: Vec<&[f32]> = shard_outs
-                        .iter()
-                        .flat_map(|so| so.rows_c.chunks_exact(pc))
-                        .collect();
-                    let fold_c = genet_par::fold_rows_ordered(&rows_c, &mut grads_c, timed);
-                    profile.busy_nanos += fold_a.busy_nanos + fold_c.busy_nanos;
-                    // Fold profiles carry parameter-slot counts as items —
-                    // a different unit than gradient samples — so only
-                    // their busy time joins the per-worker accounting.
-                    let mut fa = fold_a;
-                    fa.worker_items.clear();
-                    profile.stage.absorb(&fa);
-                    let mut fc = fold_c;
-                    fc.worker_items.clear();
-                    profile.stage.absorb(&fc);
-
-                    // Stats fold, same ops in the same (sample) order as
-                    // the serial loop.
-                    for st in shard_outs.iter().flat_map(|so| so.stats.iter()) {
-                        mb_policy_loss -= st.surrogate;
-                        mb_value_loss += st.half_sq_verr;
-                        mb_entropy += st.entropy;
-                        mb_kl += st.kl;
-                    }
+                // Stage the minibatch's observations once; both passes
+                // read them.
+                xs.clear();
+                for &i in chunk {
+                    xs.extend_from_slice(buffer.obs(i));
                 }
+                let (sums, bp) = genet_par::par_map_mut_profiled(
+                    &mut passes,
+                    |_, pass| match pass.net {
+                        Net::Actor => pass.actor(actor, cfg, buffer, chunk, &xs, inv),
+                        Net::Critic => pass.critic(critic, buffer, chunk, &xs, inv),
+                    },
+                    timed,
+                );
+                profile.workers = profile.workers.max(bp.workers);
+                profile.busy_nanos += bp.busy_nanos;
+                if timed {
+                    // Re-express the per-worker items (network passes) in
+                    // samples: each pass covers the whole minibatch.
+                    let per_pass = [chunk.len() as u64; 2];
+                    profile.stage.absorb(&genet_par::BatchProfile {
+                        worker_items: genet_par::sum_per_worker(&per_pass, bp.workers),
+                        ..bp
+                    });
+                }
+                let (a, c) = (sums[0], sums[1]);
+                let (ga, gc) = (&passes[0].grads, &passes[1].grads);
                 debug_assert!(
-                    mb_policy_loss.is_finite() && mb_value_loss.is_finite(),
-                    "non-finite PPO loss: policy {mb_policy_loss} value {mb_value_loss}"
+                    a.policy_loss.is_finite() && c.value_loss.is_finite(),
+                    "non-finite PPO loss: policy {} value {}",
+                    a.policy_loss,
+                    c.value_loss
                 );
                 debug_assert!(
-                    grads_a.iter().chain(grads_c.iter()).all(|g| g.is_finite()),
+                    ga.iter().chain(gc).all(|g| g.is_finite()),
                     "non-finite gradient in PPO update"
                 );
-                opt_actor.step(actor.params_mut(), &grads_a);
-                opt_critic.step(critic.params_mut(), &grads_c);
+                opt_actor.step(actor.params_mut(), ga);
+                opt_critic.step(critic.params_mut(), gc);
 
-                stats.policy_loss += mb_policy_loss * inv;
-                stats.value_loss += mb_value_loss * inv;
-                stats.entropy += mb_entropy * inv;
-                stats.approx_kl += mb_kl * inv;
+                stats.policy_loss += a.policy_loss * inv;
+                stats.value_loss += c.value_loss * inv;
+                stats.entropy += a.entropy * inv;
+                stats.approx_kl += a.approx_kl * inv;
                 stat_batches += 1;
             }
         }
@@ -491,110 +505,6 @@ impl PpoAgent {
             }
         }
         Ok(())
-    }
-}
-
-/// The shared per-shard forward + loss math of both update paths: batched
-/// actor and critic forward passes over `idxs` (one fixed-size shard of
-/// the shuffled minibatch), per-sample loss terms into `ss.stats`, and
-/// `dLoss/dOutput` rows into `ss.gouts_a` / `ss.gouts_c`. Leaves each
-/// net's activations in its scratch for the caller's backward pass of
-/// choice (per-sample rows or direct accumulation).
-///
-/// Bit-compatibility with the serial loop: the batched kernels reproduce
-/// the scalar per-sample op sequence exactly ([`Mlp::forward_batch`]), and
-/// all per-sample scalar math here (softmax, ratio/clip, gradient-of-logits
-/// scaling) is the verbatim serial code. Actor and critic passes touch
-/// disjoint state, so their relative order changes no FP value.
-fn shard_loss_passes(
-    actor: &Mlp,
-    critic: &Mlp,
-    cfg: &PpoConfig,
-    buffer: &RolloutBuffer,
-    idxs: &[usize],
-    inv: f32,
-    ss: &mut ShardScratch,
-) {
-    let m = idxs.len();
-    let obs_dim = actor.input_dim();
-    let actions = actor.output_dim();
-    ss.xs.resize(m * obs_dim, 0.0);
-    for (x, &i) in ss.xs.chunks_exact_mut(obs_dim).zip(idxs) {
-        x.copy_from_slice(buffer.obs(i));
-    }
-    ss.gouts_a.resize(m * actions, 0.0);
-    ss.gouts_c.resize(m, 0.0);
-    ss.grad_logits.resize(actions, 0.0);
-    ss.g_ent.resize(actions, 0.0);
-    ss.stats.clear();
-
-    // ---- actor ----
-    let logits_all = actor.forward_batch(&ss.xs, m, &mut ss.scratch_a);
-    for (s, &i) in idxs.iter().enumerate() {
-        let t = &buffer.meta()[i];
-        let adv = buffer.advantages()[i];
-        let logits = &logits_all[s * actions..(s + 1) * actions];
-        let probs = softmax::softmax_into(logits, &mut ss.probs);
-        let logp = softmax::log_prob(probs, t.action);
-        let ratio = (logp - t.log_prob).exp();
-        let unclipped = ratio * adv;
-        let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * adv;
-        let surrogate = unclipped.min(clipped);
-        // Gradient flows only when the unclipped branch is active (the
-        // standard PPO subgradient).
-        let pass_through = if adv >= 0.0 {
-            ratio <= 1.0 + cfg.clip
-        } else {
-            ratio >= 1.0 - cfg.clip
-        };
-        let coef = if pass_through { ratio * adv } else { 0.0 };
-        softmax::grad_log_prob(probs, t.action, &mut ss.grad_logits);
-        softmax::grad_entropy(probs, &mut ss.g_ent);
-        // Loss = −surrogate − c_ent·H; dLoss/dlogits for this sample.
-        for j in 0..actions {
-            ss.gouts_a[s * actions + j] =
-                (-coef * ss.grad_logits[j] - cfg.entropy_coef * ss.g_ent[j]) * inv;
-        }
-        ss.stats.push(SampleStats {
-            surrogate,
-            half_sq_verr: 0.0,
-            entropy: softmax::entropy(probs),
-            kl: t.log_prob - logp,
-        });
-    }
-
-    // ---- critic ----
-    let values = critic.forward_batch(&ss.xs, m, &mut ss.scratch_c);
-    for (s, &i) in idxs.iter().enumerate() {
-        let ret = buffer.returns()[i];
-        let verr = values[s] - ret;
-        ss.gouts_c[s] = verr * inv;
-        ss.stats[s].half_sq_verr = 0.5 * verr * verr;
-    }
-}
-
-/// One parallel work item of the update engine: [`shard_loss_passes`] plus
-/// batched backward passes emitting *per-sample* gradient rows, so the
-/// reducer can fold them in ascending sample order at any worker count.
-fn compute_shard(
-    actor: &Mlp,
-    critic: &Mlp,
-    cfg: &PpoConfig,
-    buffer: &RolloutBuffer,
-    idxs: &[usize],
-    inv: f32,
-) -> ShardOut {
-    let m = idxs.len();
-    let mut ss = ShardScratch::default();
-    shard_loss_passes(actor, critic, cfg, buffer, idxs, inv, &mut ss);
-    let mut rows_a = vec![0.0f32; m * actor.param_count()];
-    actor.backward_batch(&ss.gouts_a, m, &mut ss.scratch_a, &mut rows_a);
-    let mut rows_c = vec![0.0f32; m * critic.param_count()];
-    critic.backward_batch(&ss.gouts_c, m, &mut ss.scratch_c, &mut rows_c);
-    ShardOut {
-        rows_a,
-        rows_c,
-        stats: ss.stats,
     }
 }
 
@@ -1024,6 +934,14 @@ mod tests {
         );
     }
 
+    /// Serializes the tests of this module that move the process-wide
+    /// worker-count override, so one never runs under another's count.
+    static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_override() -> std::sync::MutexGuard<'static, ()> {
+        OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn update_is_thread_count_invariant() {
         // One update() on a fixed pre-filled buffer must produce
@@ -1031,6 +949,7 @@ mod tests {
         // (The cross-stage train-loop invariance test lives in
         // genet-core/tests/thread_invariance.rs; a standalone
         // update-stage test also runs in genet-rl/tests/.)
+        let _guard = lock_override();
         let fingerprint = |threads: Option<usize>| {
             genet_par::override_worker_threads(threads);
             let mut agent = PpoAgent::new(2, 2, PpoConfig::default(), 77);
@@ -1058,6 +977,43 @@ mod tests {
         let serial = fingerprint(Some(1));
         assert_eq!(serial, fingerprint(Some(2)), "2 workers diverged");
         assert_eq!(serial, fingerprint(None), "default workers diverged");
+    }
+
+    #[test]
+    fn timed_update_accounts_both_network_passes() {
+        // Each minibatch fans out over one actor and one critic pass: two
+        // workers when two are allowed, both passes on the caller at one.
+        // An item is one network's pass over one sample.
+        let _guard = lock_override();
+        for (threads, workers) in [(2usize, 2usize), (1, 1)] {
+            genet_par::override_worker_threads(Some(threads));
+            let mut agent = PpoAgent::new(2, 2, PpoConfig::default(), 31);
+            let mut buffer = RolloutBuffer::new();
+            let mut rng = StdRng::seed_from_u64(8);
+            for _ in 0..20 {
+                agent.collect_episode(&mut Bandit { t: 0 }, &mut buffer, &mut rng);
+            }
+            let n = buffer.len() as u64;
+            let (_, profile) = agent.update_profiled(&mut buffer, &mut rng, true);
+            genet_par::override_worker_threads(None);
+            let samples = n * PpoConfig::default().epochs as u64;
+            assert_eq!(profile.samples, samples);
+            assert_eq!(profile.workers, workers, "at {threads} threads");
+            assert_eq!(profile.stage.workers, workers);
+            assert_eq!(profile.stage.worker_busy.len(), workers);
+            assert_eq!(
+                profile.busy_nanos,
+                profile.stage.worker_busy.iter().sum::<u64>()
+            );
+            assert!(profile.busy_nanos > 0);
+            // Per worker: the actor's and the critic's samples, or both.
+            let expect_items = if workers == 2 {
+                vec![samples, samples]
+            } else {
+                vec![2 * samples]
+            };
+            assert_eq!(profile.stage.worker_items, expect_items);
+        }
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //! engine's (`genet-core/tests/thread_invariance.rs`): the worker count is a
 //! pure performance knob. Starting from identical weights and an identical
 //! pre-filled `RolloutBuffer`, `update` must produce bit-identical weights
-//! and `UpdateStats` whether gradient shards are folded serially (1 worker),
-//! across 2 workers, or with the hardware-default fan-out — because
-//! per-sample gradient rows are computed independently and folded in sample
-//! index order regardless of how shards land on threads (DESIGN.md §11).
+//! and `UpdateStats` whether each minibatch's actor and critic passes run
+//! on the calling thread (1 worker) or on two workers, at any forced or
+//! hardware-default count — because each network's gradient is summed by
+//! one pass in ascending sample order, and the two passes share no mutable
+//! state (DESIGN.md §11).
+//!
+//! Buffer lengths cover several full 256-sample minibatches with a ragged
+//! tail (700), a tail minibatch of one sample (257) and a buffer shorter
+//! than one minibatch (100).
 //!
 //! All scenarios run inside a single `#[test]` so the global
 //! `override_worker_threads` hook is never mutated by two tests at once.
@@ -18,12 +23,12 @@ use rand::SeedableRng;
 const OBS_DIM: usize = 12;
 const ACTIONS: usize = 5;
 
-/// Deterministic synthetic rollout: several "episodes" of varying length
-/// with exercised done flags, varied rewards and non-uniform observations.
-/// 700 steps spans multiple 256-sample minibatches and a ragged tail.
-fn fill_buffer(buffer: &mut RolloutBuffer) {
+/// Deterministic synthetic rollout of `len` steps: several "episodes" of
+/// varying length with exercised done flags, varied rewards and
+/// non-uniform observations.
+fn fill_buffer(buffer: &mut RolloutBuffer, len: usize) {
     let mut obs = vec![0.0f32; OBS_DIM];
-    for i in 0..700usize {
+    for i in 0..len {
         for (j, o) in obs.iter_mut().enumerate() {
             *o = (((i * 31 + j * 17) % 97) as f32) * 0.021 - 1.0;
         }
@@ -34,7 +39,7 @@ fn fill_buffer(buffer: &mut RolloutBuffer) {
                 log_prob: -1.6 - ((i % 13) as f32) * 0.05,
                 value: ((i % 11) as f32) * 0.1 - 0.5,
                 reward: ((i % 5) as f32 - 2.0) * 0.4,
-                done: i % 89 == 88 || i == 699,
+                done: i % 89 == 88 || i + 1 == len,
             },
         );
     }
@@ -56,11 +61,11 @@ fn stat_bits(s: &UpdateStats) -> [u32; 4] {
     ]
 }
 
-fn update_fingerprint(threads: Option<usize>) -> UpdateFingerprint {
+fn update_fingerprint(len: usize, threads: Option<usize>) -> UpdateFingerprint {
     override_worker_threads(threads);
     let mut agent = PpoAgent::new(OBS_DIM, ACTIONS, PpoConfig::default(), 77);
     let mut buffer = RolloutBuffer::new();
-    fill_buffer(&mut buffer);
+    fill_buffer(&mut buffer, len);
     // Same RNG seed at every thread count — the minibatch shuffle must be
     // the only RNG consumer during the update.
     let mut rng = StdRng::seed_from_u64(123);
@@ -75,18 +80,29 @@ fn update_fingerprint(threads: Option<usize>) -> UpdateFingerprint {
 
 #[test]
 fn update_from_fixed_buffer_is_thread_count_invariant() {
-    let serial = update_fingerprint(Some(1));
-    let two = update_fingerprint(Some(2));
-    let eight = update_fingerprint(Some(8));
-    let default = update_fingerprint(None);
-    assert!(
-        !serial.actor_bits.is_empty() && !serial.critic_bits.is_empty(),
-        "degenerate fingerprint"
-    );
-    assert_eq!(
-        serial, two,
-        "1 vs 2 workers diverged — update depends on thread count"
-    );
-    assert_eq!(serial, eight, "1 vs 8 workers diverged");
-    assert_eq!(serial, default, "1 worker vs hardware default diverged");
+    let fresh = PpoAgent::new(OBS_DIM, ACTIONS, PpoConfig::default(), 77);
+    for len in [700usize, 257, 100] {
+        let serial = update_fingerprint(len, Some(1));
+        let two = update_fingerprint(len, Some(2));
+        let eight = update_fingerprint(len, Some(8));
+        let default = update_fingerprint(len, None);
+        assert!(
+            !serial.actor_bits.is_empty() && !serial.critic_bits.is_empty(),
+            "degenerate fingerprint"
+        );
+        let fresh_actor: Vec<u32> = fresh.actor_params().iter().map(|p| p.to_bits()).collect();
+        assert_ne!(
+            serial.actor_bits, fresh_actor,
+            "len {len}: update moved nothing"
+        );
+        assert_eq!(
+            serial, two,
+            "len {len}: 1 vs 2 workers diverged — update depends on thread count"
+        );
+        assert_eq!(serial, eight, "len {len}: 1 vs 8 workers diverged");
+        assert_eq!(
+            serial, default,
+            "len {len}: 1 worker vs hardware default diverged"
+        );
+    }
 }

@@ -74,8 +74,9 @@ pub enum Event {
         busy_nanos: u64,
     },
     /// One parallel PPO update: all epochs × minibatches of a single
-    /// `PpoAgent::update_profiled` call, gradient shards fanned out by the
-    /// parallel update engine. Mirrors [`Event::RolloutBatch`].
+    /// `PpoAgent::update_profiled` call, each minibatch's actor and critic
+    /// passes fanned out by the parallel update engine. Mirrors
+    /// [`Event::RolloutBatch`].
     UpdateBatch {
         /// Span-style phase scope, e.g. `train/initial`.
         scope: String,

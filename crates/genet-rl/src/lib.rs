@@ -14,7 +14,8 @@
 //!
 //! Modules:
 //! * [`mlp`] — dense feed-forward network with tanh hidden layers, manual
-//!   backprop,
+//!   backprop; the tanh is the crate's own bit-exact fdlibm port
+//!   (`activation`, scalar and 8-lane forms),
 //! * [`adam`] — Adam optimizer on flat parameter vectors,
 //! * [`softmax`] — categorical policy head (sampling, log-prob, entropy),
 //! * [`buffer`] — rollout storage + generalized advantage estimation,
@@ -23,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+mod activation;
 pub mod adam;
 pub mod buffer;
 pub mod mlp;

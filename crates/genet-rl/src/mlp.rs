@@ -3,9 +3,12 @@
 //! Layout: all layers' weights and biases live in one flat `Vec<f32>` so the
 //! Adam optimizer can treat the network as a single parameter vector.
 //! Hidden activations are `tanh` (what Pensieve/Aurora-scale policy nets
-//! typically use at this size); the output layer is linear — the softmax /
-//! value interpretation is applied by the caller.
+//! typically use at this size), computed by the crate's own bit-exact port
+//! of fdlibm `tanhf` (`crate::activation`) rather than the host libm; the
+//! output layer is linear — the softmax / value interpretation is applied
+//! by the caller.
 
+use crate::activation::tanh_in_place;
 use genet_math::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -207,9 +210,7 @@ impl Mlp {
             }
             // Hidden layers get tanh; the final layer stays linear.
             if l + 1 < self.sizes.len() - 1 {
-                for v in y.iter_mut() {
-                    *v = v.tanh();
-                }
+                tanh_in_place(y);
             }
         }
         // genet-lint: allow(panic-in-library) scratch always holds one activation buffer per layer
@@ -236,7 +237,8 @@ impl Mlp {
     /// floating-point operation sequence of the scalar [`Mlp::forward`] —
     /// per output neuron, the accumulator starts at the bias and adds `w·x`
     /// products in ascending input order, with hidden activations getting a
-    /// `tanh` afterwards — so row `s` of the result is bit-identical to
+    /// `tanh` afterwards (whose value does not depend on which lane or chunk
+    /// it lands in) — so row `s` of the result is bit-identical to
     /// `forward(&inputs[s*d..(s+1)*d], ..)`.
     ///
     /// Internally the batch is processed *unit-major* (see
@@ -315,9 +317,7 @@ impl Mlp {
             // One fused tanh pass over the whole layer; the final layer
             // stays linear.
             if l + 1 < self.sizes.len() - 1 {
-                for v in ys.iter_mut() {
-                    *v = v.tanh();
-                }
+                tanh_in_place(ys);
             }
         }
         // Transpose the last layer back to the sample-major API layout.
@@ -631,21 +631,93 @@ mod tests {
             .collect()
     }
 
+    /// [`test_batch`] with every third row zeroed (its first-layer
+    /// pre-activations are the zero biases) and every third row scaled by 80
+    /// (pre-activations past tanh's saturation at |x| ≥ 22).
+    fn mixed_batch(dim: usize, batch: usize) -> Vec<f32> {
+        let mut xs = test_batch(dim, batch);
+        for (s, row) in xs.chunks_exact_mut(dim).enumerate() {
+            match s % 3 {
+                0 => row.fill(0.0),
+                1 => row.iter_mut().for_each(|v| *v *= 80.0),
+                _ => {}
+            }
+        }
+        xs
+    }
+
+    /// The forward pass written out with `f32::tanh`, plus the number of
+    /// hidden pre-activations that were exactly zero and that saturated.
+    fn libm_forward(mlp: &Mlp, input: &[f32]) -> (Vec<f32>, usize, usize) {
+        let (mut x, mut zeros, mut saturated) = (input.to_vec(), 0, 0);
+        let n_layers = mlp.sizes.len() - 1;
+        for l in 0..n_layers {
+            let (n_in, n_out) = (mlp.sizes[l], mlp.sizes[l + 1]);
+            let w = &mlp.params[mlp.w_off[l]..];
+            let mut y: Vec<f32> = (0..n_out)
+                .map(|o| {
+                    let row = &w[o * n_in..(o + 1) * n_in];
+                    row.iter()
+                        .zip(&x)
+                        .fold(mlp.params[mlp.b_off[l] + o], |acc, (wi, xi)| acc + wi * xi)
+                })
+                .collect();
+            if l + 1 < n_layers {
+                zeros += y.iter().filter(|v| **v == 0.0).count();
+                saturated += y.iter().filter(|v| v.abs() >= 22.0).count();
+                y.iter_mut().for_each(|v| *v = v.tanh());
+            }
+            x = y;
+        }
+        (x, zeros, saturated)
+    }
+
     #[test]
     fn forward_batch_rows_bit_equal_scalar_forward() {
-        let mlp = Mlp::new(&[4, 32, 16, 3], 21);
-        let batch = 13;
-        let inputs = test_batch(4, batch);
-        let mut bs = MlpBatchScratch::default();
-        let ys = mlp.forward_batch(&inputs, batch, &mut bs).to_vec();
-        let mut s = mlp.scratch();
-        for b in 0..batch {
-            let y = mlp.forward(&inputs[b * 4..(b + 1) * 4], &mut s);
-            for (o, (scalar, batched)) in y.iter().zip(&ys[b * 3..(b + 1) * 3]).enumerate() {
-                assert_eq!(
-                    scalar.to_bits(),
-                    batched.to_bits(),
-                    "sample {b} output {o}: scalar {scalar} vs batched {batched}"
+        // The second net's hidden widths are not multiples of the tanh
+        // kernel's 8 lanes, and its inputs make some pre-activations exactly
+        // zero and some saturate, so both forward paths run the kernel's
+        // lanes, its scalar fallback and its remainder. Both paths must also
+        // match the forward pass written with the host libm's `tanhf`.
+        let cases = [
+            (Mlp::new(&[4, 32, 16, 3], 21), test_batch(4, 13), false),
+            (Mlp::new(&[4, 13, 5, 3], 25), mixed_batch(4, 13), true),
+        ];
+        for (mlp, inputs, hits_fallback) in &cases {
+            let batch = inputs.len() / 4;
+            let mut bs = MlpBatchScratch::default();
+            let ys = mlp.forward_batch(inputs, batch, &mut bs).to_vec();
+            let mut s = mlp.scratch();
+            let (mut zeros, mut saturated) = (0, 0);
+            for b in 0..batch {
+                let x = &inputs[b * 4..(b + 1) * 4];
+                let (reference, z, sat) = libm_forward(mlp, x);
+                (zeros, saturated) = (zeros + z, saturated + sat);
+                let y = mlp.forward(x, &mut s);
+                for (o, ((scalar, batched), libm)) in y
+                    .iter()
+                    .zip(&ys[b * 3..(b + 1) * 3])
+                    .zip(&reference)
+                    .enumerate()
+                {
+                    assert_eq!(
+                        scalar.to_bits(),
+                        batched.to_bits(),
+                        "{:?} sample {b} output {o}: scalar {scalar} vs batched {batched}",
+                        mlp.sizes
+                    );
+                    assert_eq!(
+                        scalar.to_bits(),
+                        libm.to_bits(),
+                        "{:?} sample {b} output {o}: scalar {scalar} vs libm {libm}",
+                        mlp.sizes
+                    );
+                }
+            }
+            if *hits_fallback {
+                assert!(
+                    zeros > 0 && saturated > 0,
+                    "{zeros} zero, {saturated} saturated"
                 );
             }
         }

@@ -112,8 +112,10 @@ struct NetPass {
     gouts: Vec<f32>,
     /// The minibatch gradient, summed in ascending sample order.
     grads: Vec<f32>,
-    /// Softmax and logit-gradient rows of one sample (actor only).
+    /// Softmax, log-probability and logit-gradient rows of one sample
+    /// (actor only).
     probs: Vec<f32>,
+    log_probs: Vec<f32>,
     grad_logits: Vec<f32>,
     g_ent: Vec<f32>,
 }
@@ -126,6 +128,7 @@ impl NetPass {
             gouts: Vec::new(),
             grads: vec![0.0; mlp.param_count()],
             probs: Vec::new(),
+            log_probs: vec![0.0; mlp.output_dim()],
             grad_logits: vec![0.0; mlp.output_dim()],
             g_ent: vec![0.0; mlp.output_dim()],
         }
@@ -169,14 +172,14 @@ impl NetPass {
             };
             let coef = if pass_through { ratio * adv } else { 0.0 };
             softmax::grad_log_prob(probs, t.action, &mut self.grad_logits);
-            softmax::grad_entropy(probs, &mut self.g_ent);
+            let entropy = softmax::entropy_and_grad(probs, &mut self.log_probs, &mut self.g_ent);
             // Loss = −surrogate − c_ent·H; dLoss/dlogits for this sample.
             for j in 0..actions {
                 self.gouts[s * actions + j] =
                     (-coef * self.grad_logits[j] - cfg.entropy_coef * self.g_ent[j]) * inv;
             }
             sums.policy_loss -= surrogate;
-            sums.entropy += softmax::entropy(probs);
+            sums.entropy += entropy;
             sums.approx_kl += t.log_prob - logp;
         }
         self.grads.iter_mut().for_each(|g| *g = 0.0);
@@ -219,8 +222,6 @@ pub struct PpoAgent {
     opt_actor: Adam,
     opt_critic: Adam,
     cfg: PpoConfig,
-    scratch_a: MlpScratch,
-    scratch_c: MlpScratch,
 }
 
 impl PpoAgent {
@@ -237,16 +238,12 @@ impl PpoAgent {
         let critic = Mlp::new(&critic_sizes, derive_seed(seed, 2));
         let opt_actor = Adam::new(actor.param_count(), cfg.actor_lr);
         let opt_critic = Adam::new(critic.param_count(), cfg.critic_lr);
-        let scratch_a = actor.scratch();
-        let scratch_c = critic.scratch();
         Self {
             actor,
             critic,
             opt_actor,
             opt_critic,
             cfg,
-            scratch_a,
-            scratch_c,
         }
     }
 
@@ -263,23 +260,6 @@ impl PpoAgent {
     /// Hyperparameters.
     pub fn config(&self) -> &PpoConfig {
         &self.cfg
-    }
-
-    /// Samples an action, returning `(action, log_prob, value)`.
-    pub fn act_sample(&mut self, obs: &[f32], rng: &mut StdRng) -> (usize, f32, f32) {
-        let logits = self.actor.forward(obs, &mut self.scratch_a);
-        let mut buf = Vec::new();
-        let probs = softmax::softmax_into(logits, &mut buf);
-        let action = softmax::sample_categorical(probs, rng);
-        let log_prob = softmax::log_prob(probs, action);
-        let value = self.critic.forward(obs, &mut self.scratch_c)[0];
-        (action, log_prob, value)
-    }
-
-    /// Greedy (argmax) action — evaluation mode.
-    pub fn act_greedy(&mut self, obs: &[f32]) -> usize {
-        let logits = self.actor.forward(obs, &mut self.scratch_a);
-        softmax::argmax(logits)
     }
 
     /// A `Sync` read-only snapshot of the behaviour policy (actor + critic

@@ -74,13 +74,23 @@ pub fn grad_log_prob(probs: &[f32], action: usize, out: &mut [f32]) {
     }
 }
 
-/// Gradient of the entropy with respect to the logits:
-/// `dH/dz_j = −π_j (log π_j + H)`, written into `out`.
-pub fn grad_entropy(probs: &[f32], out: &mut [f32]) {
-    let h = entropy(probs);
-    for (g, &p) in out.iter_mut().zip(probs.iter()) {
-        *g = if p > 1e-12 { -p * (p.ln() + h) } else { 0.0 };
+/// The entropy `H` of a probability vector, returned, and its gradient with
+/// respect to the logits, `dH/dz_j = −π_j (log π_j + H)`, written into
+/// `out`. Each `log π_j` is taken once, into the caller's `log_probs`
+/// buffer; `H` is bit-identical to [`entropy`].
+pub fn entropy_and_grad(probs: &[f32], log_probs: &mut [f32], out: &mut [f32]) -> f32 {
+    for (l, &p) in log_probs.iter_mut().zip(probs) {
+        *l = if p > 1e-12 { p.ln() } else { 0.0 };
     }
+    let h = -probs
+        .iter()
+        .zip(log_probs.iter())
+        .map(|(&p, &l)| if p > 1e-12 { p * l } else { 0.0 })
+        .sum::<f32>();
+    for ((g, &p), &l) in out.iter_mut().zip(probs).zip(log_probs.iter()) {
+        *g = if p > 1e-12 { -p * (l + h) } else { 0.0 };
+    }
+    h
 }
 
 #[cfg(test)]
@@ -167,7 +177,8 @@ mod tests {
         let logits = [0.2f32, 0.9, -0.4];
         let probs = softmax(&logits);
         let mut analytic = vec![0.0f32; 3];
-        grad_entropy(&probs, &mut analytic);
+        let h = entropy_and_grad(&probs, &mut [0.0; 3], &mut analytic);
+        assert_eq!(h.to_bits(), entropy(&probs).to_bits());
         let eps = 1e-3;
         for j in 0..3 {
             let mut lp = logits;

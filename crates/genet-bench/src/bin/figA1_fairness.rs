@@ -18,7 +18,9 @@
 //! Every episode is a pure function of `(panel, n_flows, cc, rep, --seed)`,
 //! so the TSV is byte-identical at any `GENET_THREADS` — CI's determinism
 //! job diffs threads 1 vs 8, and the perf-smoke job archives/gates the
-//! `BENCH_figA1_fairness.json` timings.
+//! `BENCH_figA1_fairness.json` timings. The sweep's dispatched events land
+//! there as the `cc_events` counter, so `stages["eval/sweep/episodes"]
+//! .busy_nanos / cc_events` is the event core's cost per event.
 //!
 //! ```sh
 //! cargo run --release -p genet-bench --bin figA1_fairness [-- --full]
@@ -28,6 +30,7 @@ use genet::cc::control::RuleCc;
 use genet::cc::multiflow::{FlowSpec, MultiFlowPath, MultiFlowSim};
 use genet::cc::sim::MiStats;
 use genet::prelude::*;
+use genet::telemetry::counters;
 use genet_bench::harness::{self, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +65,8 @@ struct Outcome {
     conv_time_s: Option<f64>,
     utilization: f64,
     reward_mean: f64,
+    /// Events the simulator dispatched.
+    events: u64,
 }
 
 /// Splittable per-episode seed: a fixed-key hash of the cell indices, so
@@ -151,6 +156,7 @@ fn run_episode(e: &Episode, master_seed: u64, duration_s: f64) -> Outcome {
                 .map(|f| sim.flow_reward(f))
                 .collect::<Vec<_>>(),
         ),
+        events: sim.events_dispatched(),
     }
 }
 
@@ -198,6 +204,8 @@ fn main() {
         args.collector(),
         "sweep/episodes",
     );
+    args.collector()
+        .counter_add(counters::CC_EVENTS, outcomes.iter().map(|o| o.events).sum());
 
     // One TSV row per (panel, cc, n) cell, aggregated over repetitions.
     let _span = args.collector().span("report/aggregate");

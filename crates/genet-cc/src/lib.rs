@@ -36,7 +36,7 @@ pub use control::{
 };
 pub use env::{CcEnv, CC_ACTIONS, CC_OBS_DIM};
 pub use event::{EventKey, EventQueue, TimeNs};
-pub use loss::{compress_loss_ranges, decompress_loss_ranges};
+pub use loss::{decode_loss_ranges, encode_loss_ranges};
 pub use multienv::{CcMultiFlowEnv, CcMultiFlowScenario};
 pub use multiflow::{FlowSpec, MultiFlowPath, MultiFlowSim};
 pub use oracle::{fair_share_oracle_reward, oracle_reward};

@@ -12,7 +12,7 @@
 /// High bit marking the first word of a two-word range.
 pub const RANGE_FLAG: u32 = 0x8000_0000;
 
-/// Encodes inclusive loss ranges `(start, end)` into the compressed list.
+/// Encodes inclusive loss ranges `(start, end)` word by word into `push`.
 ///
 /// Ranges must be in increasing order, non-overlapping, with
 /// `start <= end < RANGE_FLAG` — the form the receiver's gap detector
@@ -20,8 +20,7 @@ pub const RANGE_FLAG: u32 = 0x8000_0000;
 ///
 /// # Panics
 /// Panics (debug) on malformed input ranges.
-pub fn compress_loss_ranges(ranges: &[(u32, u32)]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(ranges.len());
+pub fn encode_loss_ranges(ranges: &[(u32, u32)], mut push: impl FnMut(u32)) {
     let mut prev_end: Option<u32> = None;
     for &(start, end) in ranges {
         debug_assert!(start <= end, "range ({start}, {end}) inverted");
@@ -32,36 +31,31 @@ pub fn compress_loss_ranges(ranges: &[(u32, u32)]) -> Vec<u32> {
         );
         prev_end = Some(end);
         if start == end {
-            out.push(start);
+            push(start);
         } else {
-            out.push(start | RANGE_FLAG);
-            out.push(end);
+            push(start | RANGE_FLAG);
+            push(end);
         }
     }
-    out
 }
 
-/// Decodes a compressed list back into inclusive `(start, end)` ranges.
+/// Decodes compressed words back into inclusive `(start, end)` ranges,
+/// appended to `out`.
 ///
 /// Lenient on malformed trailing data (a flagged start with no end word is
 /// treated as a singleton; an end below its start collapses to the start) —
 /// a lost or truncated report should degrade, not crash the sender.
-pub fn decompress_loss_ranges(encoded: &[u32]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < encoded.len() {
-        let word = encoded[i];
+pub fn decode_loss_ranges(words: impl IntoIterator<Item = u32>, out: &mut Vec<(u32, u32)>) {
+    let mut words = words.into_iter();
+    while let Some(word) = words.next() {
         if word & RANGE_FLAG != 0 {
             let start = word & !RANGE_FLAG;
-            let end = encoded.get(i + 1).copied().unwrap_or(start) & !RANGE_FLAG;
+            let end = words.next().unwrap_or(start) & !RANGE_FLAG;
             out.push((start, end.max(start)));
-            i += 2;
         } else {
             out.push((word, word));
-            i += 1;
         }
     }
-    out
 }
 
 /// Total packets covered by a decoded range list.
@@ -95,6 +89,18 @@ pub fn seqs_from_ranges(ranges: &[(u32, u32)]) -> Vec<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn compress_loss_ranges(ranges: &[(u32, u32)]) -> Vec<u32> {
+        let mut out = Vec::new();
+        encode_loss_ranges(ranges, |w| out.push(w));
+        out
+    }
+
+    fn decompress_loss_ranges(encoded: &[u32]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        decode_loss_ranges(encoded.iter().copied(), &mut out);
+        out
+    }
 
     #[test]
     fn singleton_and_run_encode_as_expected() {

@@ -9,6 +9,17 @@
 //! fluid loop cannot: competing flows, ACK loss, RTT heterogeneity,
 //! retransmission timers (DESIGN.md §14).
 //!
+//! Every event travels on one of 5n + 1 queue lanes whose keys only
+//! increase: per flow `Send`, `Arrive`, `Ack`, `MiClose` and `Timeout`, and
+//! one global `Deliver` lane. `Arrive` and `Ack` are scheduled a fixed
+//! half-RTT after a clock that never runs back; `Deliver` at the bottleneck's
+//! next free instant, which strictly increases; the other three have at most
+//! one event pending. The retransmission timer is lazy: re-arming it
+//! reserves a key but queues nothing unless the new key is earlier than the
+//! one queued, and a queued `Timeout` that pops under a stale key re-queues
+//! at the armed key instead of firing. NAK words ride a per-flow FIFO beside
+//! the ACK lane, so an `Ack` event carries only how many words are its own.
+//!
 //! Per-flow statistics accumulate per monitor interval with the same
 //! ground-truth accounting as the fluid simulator (sent at send, random
 //! loss at send, congestion drop at the queue, delivered + latency at
@@ -22,12 +33,13 @@
 
 use crate::control::{AckInfo, CcVariables, CongestionControl, FlowState, LossInfo};
 use crate::event::{ns_to_secs, secs_to_ns, EventKey, EventQueue, TimeNs};
-use crate::loss::{compress_loss_ranges, decompress_loss_ranges};
+use crate::loss::{decode_loss_ranges, encode_loss_ranges};
 use crate::sim::{mbps_to_pps, MiStats, MAX_RATE_MBPS, MIN_RATE_MBPS, PACKET_BITS};
 use genet_math::{derive_seed3, mean, sample_gaussian};
 use genet_traces::BandwidthTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// Seed-stream label for per-flow data-packet loss draws.
 const STREAM_LOSS: u64 = 0xF10A;
@@ -37,6 +49,21 @@ const STREAM_ACK_LOSS: u64 = 0xF10B;
 const STREAM_NOISE: u64 = 0xF10C;
 /// Seed-stream label for per-flow initial-rate draws.
 const STREAM_START_RATE: u64 = 0xF10D;
+
+/// The bottleneck's one `Deliver` lane; flow `f`'s lanes follow it at
+/// `1 + LANES_PER_FLOW * f + LANE_*`.
+const LANE_DELIVER: usize = 0;
+const LANES_PER_FLOW: usize = 5;
+const LANE_SEND: usize = 0;
+const LANE_ARRIVE: usize = 1;
+const LANE_ACK: usize = 2;
+const LANE_MI_CLOSE: usize = 3;
+const LANE_TIMEOUT: usize = 4;
+
+/// Queue lane of flow `f`'s events of one kind.
+fn lane(f: usize, kind: usize) -> usize {
+    1 + LANES_PER_FLOW * f + kind
+}
 
 /// The shared path every flow crosses.
 #[derive(Debug, Clone)]
@@ -94,14 +121,15 @@ enum Ev {
         seq: u32,
         sent_ns: TimeNs,
     },
-    /// An acknowledgement reaches the sender (cumulative counters + NAK).
+    /// An acknowledgement reaches the sender: cumulative counters, and how
+    /// many words at the front of the flow's `nak_words` are its NAK.
     Ack {
         flow: usize,
         ack_seq: u32,
         rtt_s: f64,
         delivered_cum: u64,
         lost_cum: u64,
-        nak: Vec<u32>,
+        nak_words: usize,
     },
     /// The flow's retransmission timer fires.
     Timeout { flow: usize },
@@ -121,12 +149,18 @@ struct Flow {
     known_lost: u64,
     min_rtt_s: f64,
     srtt_s: f64,
-    rto_key: Option<EventKey>,
+    /// Key the retransmission timer is armed at (`None`: disarmed).
+    rto_armed: Option<EventKey>,
+    /// Key of the one `Timeout` queued on the flow's timer lane; stale
+    /// once it differs from `rto_armed`.
+    rto_queued: Option<EventKey>,
     // Receiver-side state.
     rcv_expected: u32,
     rcv_delivered: u64,
     rcv_lost: u64,
     rcv_pending_nak: Vec<(u32, u32)>,
+    /// Compressed NAK words of the ACKs in flight, in ACK order.
+    nak_words: VecDeque<u32>,
     // Ground-truth accounting.
     acc: Accum,
     completed: Vec<MiStats>,
@@ -147,6 +181,8 @@ pub struct MultiFlowSim {
     now_ns: TimeNs,
     finished: bool,
     events_dispatched: u64,
+    /// Reused buffer the NAK ranges of a loss report are decoded into.
+    loss_ranges: Vec<(u32, u32)>,
 }
 
 impl MultiFlowSim {
@@ -165,13 +201,14 @@ impl MultiFlowSim {
         let mut sim = Self {
             path,
             flows: Vec::with_capacity(n),
-            queue: EventQueue::new(),
+            queue: EventQueue::new(1 + LANES_PER_FLOW * n),
             backlog_pkts: 0,
             link_free_ns: 0,
             duration_ns,
             now_ns: 0,
             finished: false,
             events_dispatched: 0,
+            loss_ranges: Vec::new(),
         };
         for (f, spec) in specs.into_iter().enumerate() {
             assert!(spec.base_rtt_s > 0.0, "flow {f}: base RTT must be positive");
@@ -196,11 +233,13 @@ impl MultiFlowSim {
                 known_lost: 0,
                 min_rtt_s: f64::INFINITY,
                 srtt_s: 0.0,
-                rto_key: None,
+                rto_armed: None,
+                rto_queued: None,
                 rcv_expected: 0,
                 rcv_delivered: 0,
                 rcv_lost: 0,
                 rcv_pending_nak: Vec::new(),
+                nak_words: VecDeque::new(),
                 acc: Accum::default(),
                 completed: Vec::new(),
                 loss_rng: StdRng::seed_from_u64(derive_seed3(seed, STREAM_LOSS, fu)),
@@ -218,9 +257,11 @@ impl MultiFlowSim {
             fl.vars = vars;
         }
         for f in 0..n {
-            sim.queue.schedule(0, Ev::Send { flow: f });
+            sim.queue
+                .schedule(lane(f, LANE_SEND), 0, Ev::Send { flow: f });
             let mi_ns = secs_to_ns(sim.flows[f].mi_s);
-            sim.queue.schedule(mi_ns, Ev::MiClose { flow: f });
+            sim.queue
+                .schedule(lane(f, LANE_MI_CLOSE), mi_ns, Ev::MiClose { flow: f });
             sim.arm_rto(f);
         }
         sim
@@ -329,34 +370,60 @@ impl MultiFlowSim {
     }
 
     /// Dispatches the next event at or before the episode duration.
+    /// A stale `Timeout` is not an event: it re-queues (or drops) and the
+    /// loop moves on, uncounted.
     fn dispatch_next(&mut self) -> bool {
-        let Some(t) = self.queue.peek_time() else {
-            return false;
-        };
-        if t > self.duration_ns {
-            return false;
+        loop {
+            let Some(t) = self.queue.peek_time() else {
+                return false;
+            };
+            if t > self.duration_ns {
+                return false;
+            }
+            let Some((key, ev)) = self.queue.pop() else {
+                return false;
+            };
+            if let Ev::Timeout { flow } = ev {
+                if !self.take_timeout(flow, key) {
+                    continue;
+                }
+            }
+            self.now_ns = key.time_ns;
+            self.events_dispatched += 1;
+            match ev {
+                Ev::Send { flow } => self.on_send(flow),
+                Ev::Arrive { flow, seq, sent_ns } => self.on_arrive(flow, seq, sent_ns),
+                Ev::Deliver { flow, seq, sent_ns } => self.on_deliver(flow, seq, sent_ns),
+                Ev::Ack {
+                    flow,
+                    ack_seq,
+                    rtt_s,
+                    delivered_cum,
+                    lost_cum,
+                    nak_words,
+                } => self.on_ack(flow, ack_seq, rtt_s, delivered_cum, lost_cum, nak_words),
+                Ev::Timeout { flow } => self.on_timeout(flow),
+                Ev::MiClose { flow } => self.on_mi_close(flow),
+            }
+            return true;
         }
-        let Some((key, ev)) = self.queue.pop() else {
-            return false;
-        };
-        self.now_ns = key.time_ns;
-        self.events_dispatched += 1;
-        match ev {
-            Ev::Send { flow } => self.on_send(flow),
-            Ev::Arrive { flow, seq, sent_ns } => self.on_arrive(flow, seq, sent_ns),
-            Ev::Deliver { flow, seq, sent_ns } => self.on_deliver(flow, seq, sent_ns),
-            Ev::Ack {
-                flow,
-                ack_seq,
-                rtt_s,
-                delivered_cum,
-                lost_cum,
-                nak,
-            } => self.on_ack(flow, ack_seq, rtt_s, delivered_cum, lost_cum, nak),
-            Ev::Timeout { flow } => self.on_timeout(flow),
-            Ev::MiClose { flow } => self.on_mi_close(flow),
+    }
+
+    /// Settles a `Timeout` popped under `key`: true when `key` is the armed
+    /// one (the timer fires); otherwise the timer re-queues at its armed key,
+    /// if any, and the popped entry is dropped.
+    fn take_timeout(&mut self, f: usize, key: EventKey) -> bool {
+        let fl = &mut self.flows[f];
+        fl.rto_queued = None;
+        if fl.rto_armed == Some(key) {
+            return true;
         }
-        true
+        if let Some(armed) = fl.rto_armed {
+            fl.rto_queued = Some(armed);
+            self.queue
+                .schedule_at(lane(f, LANE_TIMEOUT), armed, Ev::Timeout { flow: f });
+        }
+        false
     }
 
     /// Drains pending events past the duration and closes partial MIs.
@@ -399,10 +466,22 @@ impl MultiFlowSim {
         }
     }
 
+    /// (Re-)arms the retransmission timer. The key is reserved here, in
+    /// the total order, but a `Timeout` is queued only when none is or the
+    /// queued one is later; a later deadline waits for the queued entry to
+    /// pop stale and re-queue (`take_timeout`).
     fn arm_rto(&mut self, f: usize) {
         let deadline = self.now_ns + secs_to_ns(self.flows[f].vars.rto_s.max(1e-3));
-        let key = self.queue.schedule(deadline, Ev::Timeout { flow: f });
-        self.flows[f].rto_key = Some(key);
+        let key = self.queue.reserve(deadline);
+        let fl = &mut self.flows[f];
+        fl.rto_armed = Some(key);
+        let timer = lane(f, LANE_TIMEOUT);
+        match fl.rto_queued {
+            None => self.queue.schedule_at(timer, key, Ev::Timeout { flow: f }),
+            Some(queued) if key < queued => self.queue.replace(timer, key, Ev::Timeout { flow: f }),
+            Some(_) => return,
+        }
+        fl.rto_queued = Some(key);
     }
 
     fn on_send(&mut self, f: usize) {
@@ -429,6 +508,7 @@ impl MultiFlowSim {
             fl.acc.lost += 1.0;
         } else {
             self.queue.schedule(
+                lane(f, LANE_ARRIVE),
                 self.now_ns + fwd_ns,
                 Ev::Arrive {
                     flow: f,
@@ -445,7 +525,8 @@ impl MultiFlowSim {
         let interval_ns = secs_to_ns(PACKET_BITS / (rate * 1e6)).max(1);
         let next = self.now_ns + interval_ns;
         if next < self.duration_ns {
-            self.queue.schedule(next, Ev::Send { flow: f });
+            self.queue
+                .schedule(lane(f, LANE_SEND), next, Ev::Send { flow: f });
         }
     }
 
@@ -463,6 +544,7 @@ impl MultiFlowSim {
         let depart = service_start + service_ns;
         self.link_free_ns = depart;
         self.queue.schedule(
+            LANE_DELIVER,
             depart,
             Ev::Deliver {
                 flow: f,
@@ -499,19 +581,24 @@ impl MultiFlowSim {
         // reverse path; ACK loss destroys the detailed ranges but never the
         // cumulative counts — the next ACK carries those forward.
         let dropped: bool = fl.ack_rng.random::<f64>() < self.path.ack_loss_rate;
-        let nak = compress_loss_ranges(&std::mem::take(&mut fl.rcv_pending_nak));
         if dropped {
+            fl.rcv_pending_nak.clear();
             return;
         }
+        let before = fl.nak_words.len();
+        let words = &mut fl.nak_words;
+        encode_loss_ranges(&fl.rcv_pending_nak, |w| words.push_back(w));
+        fl.rcv_pending_nak.clear();
         let ack = Ev::Ack {
             flow: f,
             ack_seq: seq,
             rtt_s,
             delivered_cum: fl.rcv_delivered,
             lost_cum: fl.rcv_lost,
-            nak,
+            nak_words: fl.nak_words.len() - before,
         };
-        self.queue.schedule(self.now_ns + ret_ns, ack);
+        self.queue
+            .schedule(lane(f, LANE_ACK), self.now_ns + ret_ns, ack);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -522,7 +609,7 @@ impl MultiFlowSim {
         rtt_s: f64,
         delivered_cum: u64,
         lost_cum: u64,
-        nak: Vec<u32>,
+        nak_words: usize,
     ) {
         {
             let fl = &mut self.flows[f];
@@ -537,10 +624,6 @@ impl MultiFlowSim {
         let newly_lost = lost_cum.saturating_sub(self.flows[f].known_lost);
         self.flows[f].known_delivered = delivered_cum;
         self.flows[f].known_lost = lost_cum;
-        // A (late) ACK deschedules the pending retransmission timer…
-        if let Some(key) = self.flows[f].rto_key.take() {
-            self.queue.cancel(key);
-        }
         let state = self.flow_state(f);
         let fl = &mut self.flows[f];
         let mut vars = fl.vars;
@@ -553,24 +636,27 @@ impl MultiFlowSim {
             &state,
             &mut vars,
         );
+        // This ACK's NAK words are the next ones in the flow's FIFO: ACKs of
+        // one flow dispatch in the order they were scheduled.
         if newly_lost > 0 {
-            fl.cc.on_loss(
-                &LossInfo {
-                    newly_lost,
-                    ranges: decompress_loss_ranges(&nak),
-                },
-                &state,
-                &mut vars,
-            );
+            let mut ranges = std::mem::take(&mut self.loss_ranges);
+            ranges.clear();
+            decode_loss_ranges(fl.nak_words.drain(..nak_words), &mut ranges);
+            let loss = LossInfo { newly_lost, ranges };
+            fl.cc.on_loss(&loss, &state, &mut vars);
+            self.loss_ranges = loss.ranges;
+        } else {
+            fl.nak_words.drain(..nak_words);
         }
         vars.pacing_rate_mbps = vars.pacing_rate_mbps.clamp(MIN_RATE_MBPS, MAX_RATE_MBPS);
         fl.vars = vars;
-        // …and re-arms it for the data still in flight.
+        // A (late) ACK re-arms the retransmission timer for the data still
+        // in flight; the deadline it replaces never fires.
         self.arm_rto(f);
     }
 
     fn on_timeout(&mut self, f: usize) {
-        self.flows[f].rto_key = None;
+        self.flows[f].rto_armed = None;
         let state = self.flow_state(f);
         if state.inflight_pkts > 0 {
             let fl = &mut self.flows[f];
@@ -586,7 +672,8 @@ impl MultiFlowSim {
         self.close_mi(f);
         let next = self.now_ns + secs_to_ns(self.flows[f].mi_s);
         if next <= self.duration_ns {
-            self.queue.schedule(next, Ev::MiClose { flow: f });
+            self.queue
+                .schedule(lane(f, LANE_MI_CLOSE), next, Ev::MiClose { flow: f });
         }
     }
 

@@ -43,6 +43,10 @@ pub mod counters {
     /// `serve_decisions / (serve_busy_nanos / 1e9)` is the aggregate
     /// serving throughput in decisions/sec.
     pub const SERVE_BUSY_NANOS: &str = "serve_busy_nanos";
+    /// Events dispatched by the event-driven multi-flow CC core
+    /// (DESIGN.md §14). Over a batch of episodes, the batch stage's
+    /// `busy_nanos / cc_events` is the core's cost per event.
+    pub const CC_EVENTS: &str = "cc_events";
 }
 
 /// A telemetry sink. Implementations must be cheap and `&self`-threadsafe

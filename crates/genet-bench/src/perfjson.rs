@@ -302,16 +302,14 @@ mod tests {
         let sink = BenchJsonSink::new(&dir, "figtest", 7, true);
         sink.span_end("train", 1000);
         sink.counter_add("episodes", 3);
-        sink.record(&Event::ParStage {
-            stage: "eval/policy".into(),
-            scope: String::new(),
-            items: 16,
-            workers: 4,
-            busy_nanos: 40,
-            busy_ns: vec![10, 10, 10, 10],
-            worker_items: vec![4, 4, 4, 4],
-            imbalance: 1.0,
-        });
+        sink.record(&Event::par_stage(
+            "eval/policy",
+            "",
+            16,
+            4,
+            vec![10, 10, 10, 10],
+            vec![4, 4, 4, 4],
+        ));
         sink.finish();
         sink.finish(); // idempotent
         let text = std::fs::read_to_string(sink.path()).unwrap();

@@ -115,16 +115,14 @@ impl BayesOpt {
                 collector.enabled(),
             );
             if collector.enabled() && !eis.is_empty() {
-                collector.record(&Event::ParStage {
-                    stage: EI_SCORE_STAGE.to_string(),
-                    scope: String::new(),
-                    items: eis.len() as u64,
-                    workers: profile.workers as u64,
-                    busy_nanos: profile.busy_nanos,
-                    busy_ns: profile.worker_busy.clone(),
-                    worker_items: profile.worker_items.clone(),
-                    imbalance: profile.imbalance(),
-                });
+                collector.record(&Event::par_stage(
+                    EI_SCORE_STAGE,
+                    "",
+                    eis.len() as u64,
+                    profile.workers as u64,
+                    profile.worker_busy,
+                    profile.worker_items,
+                ));
             }
             let mut best_i = None;
             let mut best_ei = f64::NEG_INFINITY;

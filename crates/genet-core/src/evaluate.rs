@@ -20,12 +20,12 @@ pub use genet_par::{
 };
 
 /// [`par_map`] with an attached telemetry collector: emits one
-/// [`Event::EvalBatch`] and one worker-level [`Event::ParStage`] per call
-/// (batch size, worker count, per-worker busy time/items, imbalance) plus
-/// the evaluated-environment and eval-busy-time counters. Per-worker busy
-/// times are accumulated in worker-local buffers and merged in worker-index
-/// order after the scope joins, so the results — and the events — are
-/// deterministic even though the workers race.
+/// [`Event::ParStage`] per call, stage `eval/<label>` (batch size, worker
+/// count, per-worker busy time/items, imbalance), plus the
+/// evaluated-environment counter. Per-worker busy times are accumulated in
+/// worker-local buffers and merged in worker-index order after the scope
+/// joins, so the results — and the event — are deterministic even though
+/// the workers race.
 pub fn par_map_with<T, F>(n: usize, f: F, collector: &dyn Collector, label: &str) -> Vec<T>
 where
     T: Send,
@@ -34,30 +34,17 @@ where
     let enabled = collector.enabled();
     let (results, profile) = par_map_profiled(n, f, enabled);
     if enabled && n > 0 {
-        record_eval_batch(collector, label, n, &profile);
+        collector.counter_add(counters::EVAL_ENVS, n as u64);
+        collector.record(&Event::par_stage(
+            format!("eval/{label}"),
+            "",
+            n as u64,
+            profile.workers as u64,
+            profile.worker_busy,
+            profile.worker_items,
+        ));
     }
     results
-}
-
-fn record_eval_batch(collector: &dyn Collector, label: &str, n: usize, profile: &BatchProfile) {
-    collector.counter_add(counters::EVAL_ENVS, n as u64);
-    collector.counter_add(counters::EVAL_BUSY_NANOS, profile.busy_nanos);
-    collector.record(&Event::EvalBatch {
-        label: label.to_string(),
-        n: n as u64,
-        workers: profile.workers as u64,
-        busy_nanos: profile.busy_nanos,
-    });
-    collector.record(&Event::ParStage {
-        stage: format!("eval/{label}"),
-        scope: String::new(),
-        items: n as u64,
-        workers: profile.workers as u64,
-        busy_nanos: profile.busy_nanos,
-        busy_ns: profile.worker_busy.clone(),
-        worker_items: profile.worker_items.clone(),
-        imbalance: profile.imbalance(),
-    });
 }
 
 /// Generates `n` test configurations from a space, deterministically.
@@ -78,7 +65,7 @@ pub fn eval_policy_many<P: Policy + Sync>(
     eval_policy_many_with(scenario, policy, configs, seed, genet_telemetry::noop())
 }
 
-/// [`eval_policy_many`] reporting an [`Event::EvalBatch`] to `collector`.
+/// [`eval_policy_many`] reporting its `eval/policy` [`Event::ParStage`] to `collector`.
 pub fn eval_policy_many_with<P: Policy + Sync>(
     scenario: &dyn Scenario,
     policy: &P,
@@ -104,7 +91,7 @@ pub fn eval_baseline_many(
     eval_baseline_many_with(scenario, baseline, configs, seed, genet_telemetry::noop())
 }
 
-/// [`eval_baseline_many`] reporting an [`Event::EvalBatch`] to `collector`.
+/// [`eval_baseline_many`] reporting its `eval/<baseline>` [`Event::ParStage`] to `collector`.
 pub fn eval_baseline_many_with(
     scenario: &dyn Scenario,
     baseline: &str,
@@ -125,7 +112,7 @@ pub fn eval_oracle_many(scenario: &dyn Scenario, configs: &[EnvConfig], seed: u6
     eval_oracle_many_with(scenario, configs, seed, genet_telemetry::noop())
 }
 
-/// [`eval_oracle_many`] reporting an [`Event::EvalBatch`] to `collector`.
+/// [`eval_oracle_many`] reporting its `eval/oracle` [`Event::ParStage`] to `collector`.
 pub fn eval_oracle_many_with(
     scenario: &dyn Scenario,
     configs: &[EnvConfig],

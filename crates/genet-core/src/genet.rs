@@ -235,11 +235,11 @@ where
 ///
 /// Emits one [`Event::BoTrial`] per sequencing trial (proposed config,
 /// measured objective, expected-improvement value of the proposal) and one
-/// [`Event::Promotion`] per round, alongside the hierarchical spans
-/// `train`, `train/initial`, `train/sequencing/round-N` and
-/// `train/sequencing/round-N/bo/trial-M` and the training events/counters
-/// of [`train_rl_with`]. The collector only observes; a run with sinks
-/// attached is bit-identical to a run without.
+/// [`Event::Promotion`] per round that promotes, alongside the
+/// hierarchical spans `train`, `train/initial`, `train/sequencing/round-N`
+/// and `train/sequencing/round-N/bo/trial-M` and the training
+/// events/counters of [`train_rl_with`]. The collector only observes; a run
+/// with sinks attached is bit-identical to a run without.
 pub fn genet_train_instrumented<F>(
     scenario: &dyn Scenario,
     space: ParamSpace,
@@ -267,12 +267,6 @@ where
         "train/initial",
     );
     on_phase(0, &agent);
-    // One gap-eval memo cache for the whole run: policy-independent entries
-    // (baseline / oracle / non-smoothness rewards) persist across rounds,
-    // policy entries are invalidated per round since training moved the
-    // weights. Purely an execution-layer optimization — values are
-    // bit-identical with the cache detached (plan::tests, DESIGN.md §15).
-    let mut gap_cache = GapEvalCache::new();
     for round in 0..cfg.rounds {
         let round_scope = format!("train/sequencing/round-{round}");
         let _round_span = collector.span(round_scope.clone());
@@ -282,17 +276,18 @@ where
         let policy = agent.policy(PolicyMode::Greedy);
         let mut bo = BayesOpt::new(space.clone());
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0x2000 + round as u64));
-        gap_cache.begin_round();
         for trial in 0..cfg.bo_trials {
             let _trial_span = collector.span(format!("{round_scope}/bo/trial-{trial}"));
             let p = bo.propose_with(&mut rng, collector);
+            // Every trial draws its own seed, so no memo key would repeat:
+            // the gap-eval plan runs without a cache.
             let obj = cfg.criterion.evaluate_with(
                 scenario,
                 &policy,
                 &p,
                 cfg.k_envs,
                 derive_seed(seed, ((round as u64) << 16) | trial as u64),
-                Some(&mut gap_cache),
+                None,
                 collector,
             );
             if collector.enabled() {
@@ -305,19 +300,26 @@ where
                     ei: bo.last_acquisition(),
                 });
             }
-            bo.observe(p, obj);
+            // BO cannot fit a non-finite objective; such a trial is
+            // recorded but not observed.
+            if obj.is_finite() {
+                bo.observe(p, obj);
+            }
         }
-        // genet-lint: allow(panic-in-library) GenetConfig validation rejects bo_trials == 0, so an observation always exists
-        let (best, value) = bo.best().expect("bo_trials >= 1");
-        promoted.push((best.clone(), value));
-        if collector.enabled() {
-            collector.record(&Event::Promotion {
-                round: round as u64,
-                config: best.values().to_vec(),
-                value,
-            });
+        // A round with no best (`bo_trials == 0`, or no finite objective)
+        // promotes nothing: the distribution stays as it is and training
+        // goes on.
+        if let Some((best, value)) = bo.best() {
+            promoted.push((best.clone(), value));
+            if collector.enabled() {
+                collector.record(&Event::Promotion {
+                    round: round as u64,
+                    config: best.values().to_vec(),
+                    value,
+                });
+            }
+            dist.promote(best.clone());
         }
-        dist.promote(best.clone());
         // Resume training on the re-weighted distribution.
         let phase = train_rl_with(
             &mut agent,
@@ -377,6 +379,27 @@ mod tests {
             assert!(s.space(RangeLevel::Rl2).contains(c) || s.full_space().contains(c));
             assert!(v.is_finite());
         }
+    }
+
+    #[test]
+    fn rounds_without_a_best_promote_nothing() {
+        let s = LbScenario;
+        let mut cfg = quick_cfg(SelectionCriterion::GapToBaseline {
+            baseline: "llf".into(),
+        });
+        cfg.bo_trials = 0;
+        let res = genet_train(&s, s.space(RangeLevel::Rl1), &cfg, 0);
+        assert!(res.promoted.is_empty());
+        assert!(res.dist.promoted().is_empty());
+        assert_eq!(res.log.iter_rewards.len(), cfg.total_iters());
+        // A NaN penalty weight makes every objective NaN.
+        cfg.criterion = SelectionCriterion::RobustifyReward { rho: f64::NAN };
+        cfg.bo_trials = 2;
+        cfg.k_envs = 1;
+        cfg.rounds = 1;
+        let res = genet_train(&s, s.space(RangeLevel::Rl1), &cfg, 0);
+        assert!(res.promoted.is_empty());
+        assert_eq!(res.log.iter_rewards.len(), cfg.total_iters());
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! used — so every value is bit-identical to the pre-plan implementation.
 //!
 //! A [`GapEvalCache`] can be attached to memoize task results across calls
-//! (e.g. across one round's BO trials, or across criteria evaluated on the
-//! same configs): keys are `(task kind, baseline name, cfg bits, seed)`,
-//! lookups go through a `BTreeMap` (deterministic iteration), and
-//! policy-dependent entries are segregated so they can be invalidated
-//! whenever the policy moves while baseline/oracle/non-smoothness entries
-//! persist. The cache is transparent: attached or not, warm or cold, the
-//! assembled values are bit-identical (`cache_is_transparent` below).
+//! that hold one fixed policy (e.g. across search strategies probing the
+//! same configs and seeds, or across criteria evaluated on the same
+//! configs): keys are `(task kind, baseline name, cfg bits, seed)` and
+//! lookups go through a `BTreeMap` (deterministic iteration). The cache is
+//! transparent: attached or not, warm or cold, the assembled values are
+//! bit-identical (`cache_is_transparent` below).
 
 use crate::evaluate::par_map_profiled;
 use genet_env::{EnvConfig, Policy, Scenario};
@@ -76,16 +75,11 @@ fn memo_key(kind: TaskKind, baselines: &[String], cfg: &EnvConfig, seed: u64) ->
 /// Deterministic memo cache for gap-eval tasks, shared across
 /// [`SelectionCriterion`](crate::genet::SelectionCriterion) evaluations.
 ///
-/// Policy-dependent entries live in their own map and are dropped by
-/// [`Self::begin_round`] (the Genet loop calls it whenever training has
-/// moved the policy); baseline / oracle / non-smoothness entries are pure
-/// functions of `(cfg, seed)` and persist for the lifetime of the cache.
+/// Policy entries are keyed without the policy, so one cache serves one
+/// fixed policy: start a new cache whenever the policy changes.
 #[derive(Debug, Default, Clone)]
 pub struct GapEvalCache {
-    /// Policy-independent entries (baseline / oracle / non-smoothness).
-    persistent: BTreeMap<MemoKey, f64>,
-    /// Policy-reward entries, valid only for the current policy.
-    policy: BTreeMap<MemoKey, f64>,
+    entries: BTreeMap<MemoKey, f64>,
     hits: u64,
     misses: u64,
 }
@@ -96,42 +90,10 @@ impl GapEvalCache {
         Self::default()
     }
 
-    /// Invalidates every policy-dependent entry. Call whenever the policy
-    /// the cache has been serving changes (Genet: at the start of each
-    /// sequencing round, after the training phase moved the weights).
-    pub fn begin_round(&mut self) {
-        self.policy.clear();
-    }
-
     /// Lifetime totals of `(cache hits, cache misses)` across every plan
     /// executed against this cache.
     pub fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Number of currently live entries (persistent + policy).
-    pub fn len(&self) -> usize {
-        self.persistent.len() + self.policy.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.persistent.is_empty() && self.policy.is_empty()
-    }
-
-    fn get(&self, key: &MemoKey) -> Option<f64> {
-        match key.kind {
-            3 => self.policy.get(key).copied(),
-            _ => self.persistent.get(key).copied(),
-        }
-    }
-
-    fn insert(&mut self, key: MemoKey, value: f64) {
-        if key.kind == 3 {
-            self.policy.insert(key, value);
-        } else {
-            self.persistent.insert(key, value);
-        }
     }
 }
 
@@ -150,9 +112,8 @@ struct EvalPlan<'a> {
 }
 
 impl<'a> EvalPlan<'a> {
-    fn new(cfg: &'a EnvConfig, k: usize, seed: u64) -> Self {
+    fn new(cfg: &'a EnvConfig, k: usize) -> Self {
         assert!(k >= 1);
-        let _ = seed;
         Self {
             cfg,
             k,
@@ -216,10 +177,11 @@ fn execute<P: Policy + Sync>(
     let mut hits = 0u64;
     for &(kind, i) in &plan.tasks {
         let env_seed = derive_seed(seed, i as u64);
-        match cache
-            .as_ref()
-            .and_then(|c| c.get(&memo_key(kind, &plan.baselines, plan.cfg, env_seed)))
-        {
+        match cache.as_ref().and_then(|c| {
+            c.entries
+                .get(&memo_key(kind, &plan.baselines, plan.cfg, env_seed))
+                .copied()
+        }) {
             Some(v) => {
                 hits += 1;
                 values.insert((kind, i), v);
@@ -252,7 +214,8 @@ fn execute<P: Policy + Sync>(
         values.insert((kind, i), v);
         if let Some(c) = cache.as_deref_mut() {
             let env_seed = derive_seed(seed, i as u64);
-            c.insert(memo_key(kind, &plan.baselines, plan.cfg, env_seed), v);
+            c.entries
+                .insert(memo_key(kind, &plan.baselines, plan.cfg, env_seed), v);
         }
     }
     if let Some(c) = cache.as_deref_mut() {
@@ -263,16 +226,14 @@ fn execute<P: Policy + Sync>(
         collector.counter_add(counters::GAP_CACHE_HIT, hits);
         collector.counter_add(counters::GAP_CACHE_MISS, todo.len() as u64);
         if !todo.is_empty() {
-            collector.record(&Event::ParStage {
-                stage: GAP_EVAL_STAGE.to_string(),
-                scope: String::new(),
-                items: todo.len() as u64,
-                workers: profile.workers as u64,
-                busy_nanos: profile.busy_nanos,
-                busy_ns: profile.worker_busy.clone(),
-                worker_items: profile.worker_items.clone(),
-                imbalance: profile.imbalance(),
-            });
+            collector.record(&Event::par_stage(
+                GAP_EVAL_STAGE,
+                "",
+                todo.len() as u64,
+                profile.workers as u64,
+                profile.worker_busy,
+                profile.worker_items,
+            ));
         }
     }
     PlanValues { values }
@@ -291,7 +252,7 @@ pub fn gap_to_baseline_planned<P: Policy + Sync>(
     cache: Option<&mut GapEvalCache>,
     collector: &dyn Collector,
 ) -> f64 {
-    let mut plan = EvalPlan::new(cfg, k, seed);
+    let mut plan = EvalPlan::new(cfg, k);
     let b = plan.add_baseline(baseline);
     plan.add_kind_once(TaskKind::Policy);
     let v = execute(scenario, policy, &plan, seed, cache, collector);
@@ -311,7 +272,7 @@ pub fn gap_to_optimum_planned<P: Policy + Sync>(
     cache: Option<&mut GapEvalCache>,
     collector: &dyn Collector,
 ) -> f64 {
-    let mut plan = EvalPlan::new(cfg, k, seed);
+    let mut plan = EvalPlan::new(cfg, k);
     plan.add_kind_once(TaskKind::Oracle);
     plan.add_kind_once(TaskKind::Policy);
     let v = execute(scenario, policy, &plan, seed, cache, collector);
@@ -333,7 +294,7 @@ pub fn baseline_badness_planned(
     cache: Option<&mut GapEvalCache>,
     collector: &dyn Collector,
 ) -> f64 {
-    let mut plan = EvalPlan::new(cfg, k, seed);
+    let mut plan = EvalPlan::new(cfg, k);
     let b = plan.add_baseline(baseline);
     let v = execute(scenario, &never_policy, &plan, seed, cache, collector);
     let rewards: Vec<f64> = (0..k).map(|i| v.get(TaskKind::Baseline(b), i)).collect();
@@ -353,7 +314,7 @@ pub fn robustify_reward_planned<P: Policy + Sync>(
     cache: Option<&mut GapEvalCache>,
     collector: &dyn Collector,
 ) -> f64 {
-    let mut plan = EvalPlan::new(cfg, k, seed);
+    let mut plan = EvalPlan::new(cfg, k);
     plan.add_kind_once(TaskKind::Oracle);
     plan.add_kind_once(TaskKind::Policy);
     plan.add_kind_once(TaskKind::NonSmoothness);
@@ -384,7 +345,7 @@ pub fn gap_to_ensemble_planned<P: Policy + Sync>(
         !baselines.is_empty(),
         "ensemble needs at least one baseline"
     );
-    let mut plan = EvalPlan::new(cfg, k, seed);
+    let mut plan = EvalPlan::new(cfg, k);
     let idx: Vec<usize> = baselines.iter().map(|b| plan.add_baseline(b)).collect();
     plan.add_kind_once(TaskKind::Policy);
     let v = execute(scenario, policy, &plan, seed, cache, collector);
@@ -491,25 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_entries_cleared_on_begin_round_persistent_survive() {
-        let s = LbScenario;
-        let p = probe_policy();
-        let cfg = genet_lb::scenario::default_config();
-        let mut cache = GapEvalCache::new();
-        let _ = gap_to_baseline_planned(&s, &p, "llf", &cfg, 4, 3, Some(&mut cache), noop());
-        assert_eq!(cache.len(), 8);
-        cache.begin_round();
-        assert_eq!(cache.len(), 4, "baseline entries persist, policy cleared");
-        // Re-evaluating after the round boundary: 4 baseline hits, 4 policy
-        // misses (re-measured for the "new" policy).
-        let before = cache.hit_miss();
-        let _ = gap_to_baseline_planned(&s, &p, "llf", &cfg, 4, 3, Some(&mut cache), noop());
-        let after = cache.hit_miss();
-        assert_eq!(after.0 - before.0, 4);
-        assert_eq!(after.1 - before.1, 4);
-    }
-
-    #[test]
     fn ensemble_width_is_b_plus_one_k() {
         let s = LbScenario;
         let p = probe_policy();
@@ -536,10 +478,5 @@ mod tests {
         let k3 = memo_key(TaskKind::Baseline(0), &baselines, &a, 2);
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
-        let mut c = GapEvalCache::new();
-        c.insert(k1.clone(), 1.5);
-        assert_eq!(c.get(&k1), Some(1.5));
-        assert_eq!(c.get(&k2), None);
-        assert_eq!(c.get(&k3), None);
     }
 }

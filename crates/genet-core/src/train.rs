@@ -192,14 +192,12 @@ const EP_ACTION_STREAM: u64 = 0xAC7;
 
 /// [`train_rl`] with an attached telemetry collector.
 ///
-/// Emits one [`Event::TrainIter`], one [`Event::RolloutBatch`] and one
-/// [`Event::UpdateBatch`] per iteration (reward plus the full PPO
-/// `UpdateStats`; rollout and update worker counts and summed busy times),
-/// plus one worker-level [`Event::ParStage`] each for the `rollout` and
-/// `ppo-update` stages (per-worker busy time and item counts in
-/// worker-index order, load imbalance), wall-clock spans `{scope}/rollout`
-/// and `{scope}/ppo-update`, and the episode/env-step/gradient-update/
-/// stage-busy-time counters.
+/// Emits three events per iteration: one [`Event::TrainIter`] (reward plus
+/// the full PPO `UpdateStats`) and one [`Event::ParStage`] each for the
+/// `rollout` and `ppo-update` stages (items, worker count, per-worker busy
+/// time and item counts in worker-index order, load imbalance); plus
+/// wall-clock spans `{scope}/rollout` and `{scope}/ppo-update` and the
+/// episode/env-step/gradient-update/update-sample counters.
 /// `scope` names the phase in span paths and events (`train/initial`,
 /// `train/sequencing/round-3`, …).
 ///
@@ -278,42 +276,23 @@ pub fn train_rl_with(
             collector.counter_add(counters::ENV_STEPS, env_steps as u64);
             collector.counter_add(counters::GRAD_UPDATES, 1);
             collector.counter_add(counters::UPDATE_SAMPLES, update_profile.samples);
-            collector.counter_add(counters::ROLLOUT_BUSY_NANOS, profile.busy_nanos);
-            collector.counter_add(counters::UPDATE_BUSY_NANOS, update_profile.busy_nanos);
-            collector.record(&Event::RolloutBatch {
-                scope: scope.to_string(),
-                iter: iter as u64,
-                episodes: episodes as u64,
-                workers: profile.workers as u64,
-                busy_nanos: profile.busy_nanos,
-            });
-            collector.record(&Event::ParStage {
-                stage: "rollout".to_string(),
-                scope: scope.to_string(),
-                items: episodes as u64,
-                workers: profile.workers as u64,
-                busy_nanos: profile.busy_nanos,
-                busy_ns: profile.worker_busy.clone(),
-                worker_items: profile.worker_items.clone(),
-                imbalance: profile.imbalance(),
-            });
-            collector.record(&Event::UpdateBatch {
-                scope: scope.to_string(),
-                iter: iter as u64,
-                samples: update_profile.samples,
-                workers: update_profile.workers as u64,
-                busy_nanos: update_profile.busy_nanos,
-            });
-            collector.record(&Event::ParStage {
-                stage: "ppo-update".to_string(),
-                scope: scope.to_string(),
-                items: update_profile.samples,
-                workers: update_profile.workers as u64,
-                busy_nanos: update_profile.busy_nanos,
-                busy_ns: update_profile.stage.worker_busy.clone(),
-                worker_items: update_profile.stage.worker_items.clone(),
-                imbalance: update_profile.stage.imbalance(),
-            });
+            collector.record(&Event::par_stage(
+                "rollout",
+                scope,
+                episodes as u64,
+                profile.workers as u64,
+                profile.worker_busy,
+                profile.worker_items,
+            ));
+            let stage = update_profile.stage;
+            collector.record(&Event::par_stage(
+                "ppo-update",
+                scope,
+                update_profile.samples,
+                stage.workers as u64,
+                stage.worker_busy,
+                stage.worker_items,
+            ));
             collector.record(&Event::TrainIter {
                 scope: scope.to_string(),
                 iter: iter as u64,

@@ -85,8 +85,8 @@ pub fn configured_threads() -> usize {
     worker_count(MAX_THREADS)
 }
 
-/// Worker accounting of one parallel batch, for telemetry events
-/// (`eval_batch` / `rollout_batch` / `update_batch` / `par_stage`).
+/// Worker accounting of one parallel batch, for its `par_stage` telemetry
+/// event.
 ///
 /// The per-worker vectors are indexed by worker (= shard) index, which is a
 /// pure function of the batch size and the resolved worker count — never of
@@ -108,42 +108,6 @@ pub struct BatchProfile {
 }
 
 impl BatchProfile {
-    /// Busy-time imbalance of the batch: max over mean of the per-worker
-    /// busy times. `1.0` for ≤1 worker, untimed batches, or an all-idle
-    /// batch — a perfectly balanced fan-out also reads `1.0`.
-    pub fn imbalance(&self) -> f64 {
-        if self.worker_busy.len() <= 1 {
-            return 1.0;
-        }
-        let max = self.worker_busy.iter().copied().max().unwrap_or(0);
-        let sum: u64 = self.worker_busy.iter().sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        let mean = sum as f64 / self.worker_busy.len() as f64;
-        max as f64 / mean
-    }
-
-    /// `(min, median, max)` of the per-worker shard durations, or `None`
-    /// when the batch was untimed. The median of an even count is the
-    /// integer midpoint of the two middle values.
-    pub fn shard_duration_stats(&self) -> Option<(u64, u64, u64)> {
-        if self.worker_busy.is_empty() {
-            return None;
-        }
-        let mut sorted = self.worker_busy.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let median = if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            let lo = sorted[n / 2 - 1];
-            let hi = sorted[n / 2];
-            lo + (hi - lo) / 2
-        };
-        Some((sorted[0], median, sorted[n - 1]))
-    }
-
     /// Folds another batch's accounting into this one, worker index by
     /// worker index (used by engines that run many batches per stage, e.g.
     /// the PPO update's minibatch loop). `workers` keeps the maximum,
@@ -619,40 +583,7 @@ mod tests {
             assert_eq!(profile.worker_items.len(), profile.workers);
             assert_eq!(profile.worker_items.iter().sum::<u64>(), 10);
             assert_eq!(profile.worker_busy.iter().sum::<u64>(), profile.busy_nanos);
-            assert!(profile.imbalance() >= 1.0);
-            let (min, median, max) = profile.shard_duration_stats().unwrap();
-            assert!(min <= median && median <= max);
         }
-    }
-
-    #[test]
-    fn imbalance_and_shard_stats_edge_cases() {
-        let p = BatchProfile::default();
-        assert_eq!(p.imbalance(), 1.0);
-        assert!(p.shard_duration_stats().is_none());
-        let p = BatchProfile {
-            workers: 4,
-            busy_nanos: 100,
-            worker_busy: vec![10, 20, 30, 40],
-            worker_items: vec![1, 1, 1, 1],
-        };
-        // max 40 / mean 25.
-        assert!((p.imbalance() - 1.6).abs() < 1e-12);
-        assert_eq!(p.shard_duration_stats(), Some((10, 25, 40)));
-        let odd = BatchProfile {
-            workers: 3,
-            busy_nanos: 60,
-            worker_busy: vec![30, 10, 20],
-            worker_items: vec![1, 1, 1],
-        };
-        assert_eq!(odd.shard_duration_stats(), Some((10, 20, 30)));
-        let idle = BatchProfile {
-            workers: 2,
-            busy_nanos: 0,
-            worker_busy: vec![0, 0],
-            worker_items: vec![1, 1],
-        };
-        assert_eq!(idle.imbalance(), 1.0);
     }
 
     #[test]

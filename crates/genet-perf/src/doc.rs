@@ -185,7 +185,7 @@ pub fn sample_v1() -> &'static str {
 /// A handcrafted v2 document with one stage, for tests.
 #[cfg(test)]
 pub fn sample_v2() -> &'static str {
-    r#"{"schema":"genet-bench-perf-v2","figure":"fig04","seed":42,"mode":"quick","threads":4,"wall_ms":1234.5,"counters":{"episodes":12,"eval_busy_nanos":40},"stages":{"eval/policy":{"items":16,"batches":2,"max_workers":4,"busy_nanos":40,"worker_busy_ns":[10,10,10,10],"worker_items":[4,4,4,4],"imbalance":1.0,"items_per_sec":400000000.0}},"phases":[{"path":"train","calls":1,"total_nanos":1000,"self_nanos":400},{"path":"train/rollout","calls":5,"total_nanos":600,"self_nanos":600}]}"#
+    r#"{"schema":"genet-bench-perf-v2","figure":"fig04","seed":42,"mode":"quick","threads":4,"wall_ms":1234.5,"counters":{"episodes":12,"eval_envs":16},"stages":{"eval/policy":{"items":16,"batches":2,"max_workers":4,"busy_nanos":40,"worker_busy_ns":[10,10,10,10],"worker_items":[4,4,4,4],"imbalance":1.0,"items_per_sec":400000000.0}},"phases":[{"path":"train","calls":1,"total_nanos":1000,"self_nanos":400},{"path":"train/rollout","calls":5,"total_nanos":600,"self_nanos":600}]}"#
 }
 
 #[cfg(test)]

@@ -74,24 +74,20 @@ pub struct UpdateStats {
     pub approx_kl: f32,
 }
 
-/// Worker accounting of one PPO update (all epochs), for the
-/// `update_batch` and `par_stage` telemetry events. Observation-only:
-/// none of these values feed back into training.
+/// Worker accounting of one PPO update (all epochs), for the `ppo-update`
+/// `par_stage` telemetry event. Observation-only: none of these values feed
+/// back into training.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateProfile {
     /// Gradient samples processed (`buffer len × epochs`).
     pub samples: u64,
-    /// Most worker threads any minibatch fanned out over (at most 2: one
-    /// per network).
-    pub workers: usize,
-    /// Summed per-worker busy time across all minibatches (0 unless timing
-    /// was requested).
-    pub busy_nanos: u64,
     /// Per-worker accounting summed by worker index across all minibatch
-    /// fan-outs of the update (empty unless timing was requested). An item
-    /// is one network's pass over one sample, so the items sum to
-    /// `2 × samples`. Worker indices are a pure function of the batch
-    /// shape, so the aggregation order is deterministic.
+    /// fan-outs of the update (empty, with `workers` 1, unless timing was
+    /// requested). `workers` is the most any minibatch fanned out over: at
+    /// least 1, at most 2 (one per network). An item is one network's pass
+    /// over one sample, so the items sum to `2 × samples`. Worker indices
+    /// are a pure function of the batch shape, so the aggregation order is
+    /// deterministic.
     pub stage: genet_par::BatchProfile,
 }
 
@@ -302,9 +298,9 @@ impl PpoAgent {
         self.update_profiled(buffer, rng, false).0
     }
 
-    /// [`PpoAgent::update`] with worker accounting for the `update_batch`
-    /// telemetry event. `timed` requests busy-time measurement (callers
-    /// with disabled telemetry read no clock).
+    /// [`PpoAgent::update`] with worker accounting for the `ppo-update`
+    /// `par_stage` telemetry event. `timed` requests busy-time measurement
+    /// (callers with disabled telemetry read no clock).
     ///
     /// Each minibatch is one fan-out over two network passes
     /// (`genet_par::par_map_mut_profiled`): the actor's forward, clipped
@@ -342,9 +338,10 @@ impl PpoAgent {
         let mut stat_batches = 0usize;
         let mut profile = UpdateProfile {
             samples: (n * cfg.epochs) as u64,
-            workers: 1,
-            busy_nanos: 0,
-            stage: genet_par::BatchProfile::default(),
+            stage: genet_par::BatchProfile {
+                workers: 1,
+                ..Default::default()
+            },
         };
 
         for _epoch in 0..cfg.epochs {
@@ -366,8 +363,6 @@ impl PpoAgent {
                     },
                     timed,
                 );
-                profile.workers = profile.workers.max(bp.workers);
-                profile.busy_nanos += bp.busy_nanos;
                 if timed {
                     // Re-express the per-worker items (network passes) in
                     // samples: each pass covers the whole minibatch.
@@ -978,14 +973,13 @@ mod tests {
             genet_par::override_worker_threads(None);
             let samples = n * PpoConfig::default().epochs as u64;
             assert_eq!(profile.samples, samples);
-            assert_eq!(profile.workers, workers, "at {threads} threads");
-            assert_eq!(profile.stage.workers, workers);
+            assert_eq!(profile.stage.workers, workers, "at {threads} threads");
             assert_eq!(profile.stage.worker_busy.len(), workers);
             assert_eq!(
-                profile.busy_nanos,
+                profile.stage.busy_nanos,
                 profile.stage.worker_busy.iter().sum::<u64>()
             );
-            assert!(profile.busy_nanos > 0);
+            assert!(profile.stage.busy_nanos > 0);
             // Per worker: the actor's and the critic's samples, or both.
             let expect_items = if workers == 2 {
                 vec![samples, samples]

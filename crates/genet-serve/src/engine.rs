@@ -436,18 +436,14 @@ impl<'p, S: SessionSource> ServeEngine<'p, S> {
                 profile.worker_items = genet_par::sum_per_worker(&per_shard, profile.workers);
             }
             collector.counter_add(counters::SERVE_DECISIONS, decisions);
-            collector.counter_add(counters::SERVE_BUSY_NANOS, profile.busy_nanos);
-            let imbalance = profile.imbalance();
-            collector.record(&Event::ParStage {
-                stage: SERVE_STAGE.to_string(),
-                scope: String::new(),
-                items: decisions,
-                workers: profile.workers as u64,
-                busy_nanos: profile.busy_nanos,
-                busy_ns: profile.worker_busy,
-                worker_items: profile.worker_items,
-                imbalance,
-            });
+            collector.record(&Event::par_stage(
+                SERVE_STAGE,
+                "",
+                decisions,
+                profile.workers as u64,
+                profile.worker_busy,
+                profile.worker_items,
+            ));
         }
         TickStats {
             decisions,

@@ -19,17 +19,6 @@ pub mod counters {
     /// Gradient samples processed by the PPO update engine
     /// (buffer length × epochs, summed across update calls).
     pub const UPDATE_SAMPLES: &str = "update_samples";
-    /// Summed worker busy time of the rollout stage, nanoseconds.
-    /// `episodes / (rollout_busy_nanos / 1e9)` is the rollout throughput.
-    pub const ROLLOUT_BUSY_NANOS: &str = "rollout_busy_nanos";
-    /// Summed worker busy time of the PPO update stage, nanoseconds.
-    /// `update_samples / (update_busy_nanos / 1e9)` is the update
-    /// throughput in samples/sec.
-    pub const UPDATE_BUSY_NANOS: &str = "update_busy_nanos";
-    /// Summed worker busy time of parallel evaluation, nanoseconds.
-    /// `eval_envs / (eval_busy_nanos / 1e9)` is the evaluation throughput
-    /// in decisions over whole environments per second.
-    pub const EVAL_BUSY_NANOS: &str = "eval_busy_nanos";
     /// Gap-eval-plan tasks answered from the deterministic memo cache
     /// (DESIGN.md §15) instead of re-simulating the environment.
     pub const GAP_CACHE_HIT: &str = "gap_cache_hit";
@@ -39,10 +28,6 @@ pub mod counters {
     /// Policy decisions served by the serving engine (`genet-serve`,
     /// DESIGN.md §16) — one per session per tick.
     pub const SERVE_DECISIONS: &str = "serve_decisions";
-    /// Summed worker busy time of the `serve_batch` stage, nanoseconds.
-    /// `serve_decisions / (serve_busy_nanos / 1e9)` is the aggregate
-    /// serving throughput in decisions/sec.
-    pub const SERVE_BUSY_NANOS: &str = "serve_busy_nanos";
     /// Events dispatched by the event-driven multi-flow CC core
     /// (DESIGN.md §14). Over a batch of episodes, the batch stage's
     /// `busy_nanos / cc_events` is the core's cost per event.

@@ -56,49 +56,15 @@ pub enum Event {
         /// Its selection-criterion value.
         value: f64,
     },
-    /// One parallel rollout batch: the `K × N` episodes of a single
-    /// training iteration, collected by the parallel rollout engine.
-    /// Mirrors [`Event::EvalBatch`] so eval and rollout fan-out can be
-    /// profiled with the same tooling.
-    RolloutBatch {
-        /// Span-style phase scope, e.g. `train/initial`.
-        scope: String,
-        /// Iteration index within the scope.
-        iter: u64,
-        /// Episodes rolled out in the batch.
-        episodes: u64,
-        /// Worker threads used.
-        workers: u64,
-        /// Sum of per-worker busy time, merged deterministically in worker
-        /// index order.
-        busy_nanos: u64,
-    },
-    /// One parallel PPO update: all epochs × minibatches of a single
-    /// `PpoAgent::update_profiled` call, each minibatch's actor and critic
-    /// passes fanned out by the parallel update engine. Mirrors
-    /// [`Event::RolloutBatch`].
-    UpdateBatch {
-        /// Span-style phase scope, e.g. `train/initial`.
-        scope: String,
-        /// Iteration index within the scope.
-        iter: u64,
-        /// Gradient samples processed (buffer length × epochs).
-        samples: u64,
-        /// Most worker threads any minibatch used.
-        workers: u64,
-        /// Sum of per-worker busy time across all minibatches, merged
-        /// deterministically in worker index order.
-        busy_nanos: u64,
-    },
-    /// Worker-level accounting of one parallel engine stage: the per-worker
-    /// busy times and item counts of a `par_map_profiled` fan-out (or the
-    /// aggregate over the minibatch fan-outs of one PPO update call). The
-    /// arrays are indexed by worker index — a pure function of the batch
-    /// shape, never of OS scheduling — so the event is deterministically
-    /// ordered. Emitted alongside the coarser `*_batch` events; consumers
-    /// that only need totals can keep ignoring it.
+    /// The one record of a parallel batch: the per-worker busy times and
+    /// item counts of a `genet-par` fan-out (or the aggregate over the
+    /// minibatch fan-outs of one PPO update call). The arrays are indexed by
+    /// worker index — a pure function of the batch shape, never of OS
+    /// scheduling — so the event is deterministically ordered. Build it with
+    /// [`Event::par_stage`], which derives `busy_nanos` and `imbalance`.
     ParStage {
-        /// Stage name: `rollout`, `ppo-update`, or `eval/<label>`.
+        /// Stage name: `rollout`, `ppo-update`, `eval/<label>`, `gap_eval`,
+        /// `ei_score` or `serve_batch`.
         stage: String,
         /// Span-style phase scope (`train/initial`, …; empty when the
         /// stage runs outside a training phase, e.g. evaluation).
@@ -117,18 +83,6 @@ pub enum Event {
         /// or ≤1 worker).
         imbalance: f64,
     },
-    /// One parallel evaluation batch (`evaluate::par_map`).
-    EvalBatch {
-        /// Caller-supplied label, e.g. `eval/genet`.
-        label: String,
-        /// Number of items evaluated.
-        n: u64,
-        /// Worker threads used.
-        workers: u64,
-        /// Sum of per-worker busy time, merged deterministically in worker
-        /// index order.
-        busy_nanos: u64,
-    },
     /// A trained-policy cache hit in the bench harness.
     CacheHit {
         /// Cache tag (model file stem).
@@ -141,17 +95,50 @@ pub enum Event {
     },
 }
 
+/// Busy-time imbalance across workers: max over mean of the per-worker busy
+/// times. `1.0` for ≤1 worker or an all-idle batch; a perfectly balanced
+/// batch reads `1.0` too.
+pub(crate) fn imbalance(busy_ns: &[u64]) -> f64 {
+    let sum: u64 = busy_ns.iter().sum();
+    if busy_ns.len() <= 1 || sum == 0 {
+        return 1.0;
+    }
+    let max = busy_ns.iter().copied().max().unwrap_or(0);
+    max as f64 / (sum as f64 / busy_ns.len() as f64)
+}
+
 impl Event {
+    /// The [`Event::ParStage`] record of one parallel batch, from its
+    /// per-worker accounting in worker-index order: `busy_nanos` is the sum
+    /// of `busy_ns` and `imbalance` its max over mean (1.0 for ≤1 worker or
+    /// an all-idle batch).
+    pub fn par_stage(
+        stage: impl Into<String>,
+        scope: impl Into<String>,
+        items: u64,
+        workers: u64,
+        busy_ns: Vec<u64>,
+        worker_items: Vec<u64>,
+    ) -> Event {
+        Event::ParStage {
+            stage: stage.into(),
+            scope: scope.into(),
+            items,
+            workers,
+            busy_nanos: busy_ns.iter().sum(),
+            imbalance: imbalance(&busy_ns),
+            busy_ns,
+            worker_items,
+        }
+    }
+
     /// The `"type"` discriminator used in the JSONL encoding.
     pub fn kind(&self) -> &'static str {
         match self {
             Event::TrainIter { .. } => "train_iter",
             Event::BoTrial { .. } => "bo_trial",
             Event::Promotion { .. } => "promotion",
-            Event::RolloutBatch { .. } => "rollout_batch",
-            Event::UpdateBatch { .. } => "update_batch",
             Event::ParStage { .. } => "par_stage",
-            Event::EvalBatch { .. } => "eval_batch",
             Event::CacheHit { .. } => "cache_hit",
             Event::CacheMiss { .. } => "cache_miss",
         }
@@ -212,32 +199,6 @@ impl Event {
                 w.num_array("config", config);
                 w.num("value", *value);
             }
-            Event::RolloutBatch {
-                scope,
-                iter,
-                episodes,
-                workers,
-                busy_nanos,
-            } => {
-                w.str("scope", scope);
-                w.uint("iter", *iter);
-                w.uint("episodes", *episodes);
-                w.uint("workers", *workers);
-                w.uint("busy_nanos", *busy_nanos);
-            }
-            Event::UpdateBatch {
-                scope,
-                iter,
-                samples,
-                workers,
-                busy_nanos,
-            } => {
-                w.str("scope", scope);
-                w.uint("iter", *iter);
-                w.uint("samples", *samples);
-                w.uint("workers", *workers);
-                w.uint("busy_nanos", *busy_nanos);
-            }
             Event::ParStage {
                 stage,
                 scope,
@@ -256,17 +217,6 @@ impl Event {
                 w.uint_array("busy_ns", busy_ns);
                 w.uint_array("worker_items", worker_items);
                 w.num("imbalance", *imbalance);
-            }
-            Event::EvalBatch {
-                label,
-                n,
-                workers,
-                busy_nanos,
-            } => {
-                w.str("label", label);
-                w.uint("n", *n);
-                w.uint("workers", *workers);
-                w.uint("busy_nanos", *busy_nanos);
             }
             Event::CacheHit { tag } | Event::CacheMiss { tag } => {
                 w.str("tag", tag);
@@ -309,20 +259,6 @@ impl Event {
                 config: v.get("config")?.as_f64_array()?,
                 value: f("value")?,
             }),
-            "rollout_batch" => Some(Event::RolloutBatch {
-                scope: s("scope")?,
-                iter: u("iter")?,
-                episodes: u("episodes")?,
-                workers: u("workers")?,
-                busy_nanos: u("busy_nanos")?,
-            }),
-            "update_batch" => Some(Event::UpdateBatch {
-                scope: s("scope")?,
-                iter: u("iter")?,
-                samples: u("samples")?,
-                workers: u("workers")?,
-                busy_nanos: u("busy_nanos")?,
-            }),
             "par_stage" => Some(Event::ParStage {
                 stage: s("stage")?,
                 scope: s("scope")?,
@@ -332,12 +268,6 @@ impl Event {
                 busy_ns: v.get("busy_ns")?.as_u64_array()?,
                 worker_items: v.get("worker_items")?.as_u64_array()?,
                 imbalance: f("imbalance")?,
-            }),
-            "eval_batch" => Some(Event::EvalBatch {
-                label: s("label")?,
-                n: u("n")?,
-                workers: u("workers")?,
-                busy_nanos: u("busy_nanos")?,
             }),
             "cache_hit" => Some(Event::CacheHit { tag: s("tag")? }),
             "cache_miss" => Some(Event::CacheMiss { tag: s("tag")? }),
@@ -390,52 +320,74 @@ mod tests {
             config: vec![4.0],
             value: 0.5,
         });
-        roundtrip(Event::RolloutBatch {
-            scope: "train/initial".into(),
-            iter: 3,
-            episodes: 20,
-            workers: 8,
-            busy_nanos: 9_876_543,
-        });
-        roundtrip(Event::UpdateBatch {
-            scope: "train/initial".into(),
-            iter: 3,
-            samples: 4_872,
-            workers: 8,
-            busy_nanos: 1_234_567,
-        });
-        roundtrip(Event::ParStage {
-            stage: "rollout".into(),
-            scope: "train/initial".into(),
-            items: 20,
-            workers: 4,
-            busy_nanos: 100,
-            busy_ns: vec![30, 20, 25, 25],
-            worker_items: vec![5, 5, 5, 5],
-            imbalance: 1.2,
-        });
-        roundtrip(Event::ParStage {
-            stage: "eval/policy".into(),
-            scope: String::new(),
-            items: 0,
-            workers: 0,
-            busy_nanos: 0,
-            busy_ns: vec![],
-            worker_items: vec![],
-            imbalance: 1.0,
-        });
-        roundtrip(Event::EvalBatch {
-            label: "eval/genet".into(),
-            n: 200,
-            workers: 8,
-            busy_nanos: 123_456_789,
-        });
+        roundtrip(Event::par_stage(
+            "rollout",
+            "train/initial",
+            20,
+            4,
+            vec![30, 20, 25, 25],
+            vec![5, 5, 5, 5],
+        ));
+        roundtrip(Event::par_stage("eval/policy", "", 0, 0, vec![], vec![]));
         roundtrip(Event::CacheHit {
             tag: "lb_genet_it210_s42".into(),
         });
         roundtrip(Event::CacheMiss {
             tag: "weird \"tag\"\\with escapes".into(),
         });
+    }
+
+    #[test]
+    fn par_stage_sums_busy_and_derives_imbalance() {
+        let ev = Event::par_stage("gap_eval", "", 9, 3, vec![30, 10, 20], vec![3, 3, 3]);
+        let Event::ParStage {
+            stage,
+            scope,
+            items,
+            workers,
+            busy_nanos,
+            busy_ns,
+            worker_items,
+            imbalance,
+        } = ev
+        else {
+            unreachable!()
+        };
+        assert_eq!((stage.as_str(), scope.as_str()), ("gap_eval", ""));
+        assert_eq!((items, workers), (9, 3));
+        assert_eq!(busy_nanos, 60);
+        assert_eq!(busy_ns, vec![30, 10, 20]);
+        assert_eq!(worker_items, vec![3, 3, 3]);
+        // max 30 / mean 20.
+        assert!((imbalance - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn imbalance_edge_cases() {
+        // No workers (an untimed batch), one worker, all-idle and balanced
+        // workers read 1.0; otherwise max over mean.
+        let cases: [(&[u64], f64); 6] = [
+            (&[], 1.0),
+            (&[40], 1.0),
+            (&[0, 0], 1.0),
+            (&[25, 25, 25, 25], 1.0),
+            (&[10, 20, 30, 40], 1.6),
+            (&[0, 8, 0, 0], 4.0),
+        ];
+        for (busy, want) in cases {
+            assert!((imbalance(busy) - want).abs() < 1e-12, "{busy:?}");
+            let ev = Event::par_stage("s", "", 1, busy.len() as u64, busy.to_vec(), vec![]);
+            let Event::ParStage {
+                busy_nanos,
+                imbalance: derived,
+                ..
+            } = ev
+            else {
+                unreachable!()
+            };
+            assert_eq!(busy_nanos, busy.iter().sum::<u64>(), "{busy:?}");
+            assert!((derived - want).abs() < 1e-12, "{busy:?}");
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! * [`Collector`] — the sink-facing trait. Producers emit typed [`Event`]s
 //!   (train iterations with full PPO diagnostics, BO trials with acquisition
-//!   values, curriculum promotions, evaluation batches, model-cache
-//!   hits/misses), hierarchical wall-clock spans (slash-separated paths such
-//!   as `train/sequencing/round-3/bo/trial-7`) and monotonic counters
-//!   (episodes, environment steps, gradient updates).
+//!   values, curriculum promotions, one `par_stage` record per parallel
+//!   batch, model-cache hits/misses), hierarchical wall-clock spans
+//!   (slash-separated paths such as `train/sequencing/round-3/bo/trial-7`)
+//!   and monotonic counters (episodes, environment steps, gradient
+//!   updates).
 //! * Sinks — [`JsonlSink`] (one JSON object per line, machine-diffable),
 //!   [`StderrSummary`] (per-round one-liners plus an end-of-run span-tree
 //!   profile with total/self time and call counts), [`MemorySink`] (tests),

@@ -51,15 +51,7 @@ impl StageAgg {
     /// Busy-time imbalance across workers: max/mean (1.0 when ≤1 worker
     /// or all idle).
     pub fn imbalance(&self) -> f64 {
-        if self.worker_busy.len() <= 1 {
-            return 1.0;
-        }
-        let max = self.worker_busy.iter().copied().max().unwrap_or(0);
-        let sum: u64 = self.worker_busy.iter().sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        max as f64 / (sum as f64 / self.worker_busy.len() as f64)
+        crate::event::imbalance(&self.worker_busy)
     }
 
     /// Items per second of summed worker busy time (`None` when no busy
@@ -186,10 +178,6 @@ impl Collector for StderrSummary {
                 st.rewards_since_round.clear();
                 st.bo_trials_since_round = 0;
             }
-            // Per-iteration rollout/update batches are too chatty for the
-            // stderr narration (one each per training iteration); the span
-            // profile and JSONL stream carry them.
-            Event::RolloutBatch { .. } | Event::UpdateBatch { .. } => {}
             // Worker-level stage accounting folds into the end-of-run
             // utilization table.
             Event::ParStage {
@@ -208,11 +196,6 @@ impl Collector for StderrSummary {
                     busy_ns,
                     worker_items,
                 );
-            }
-            Event::EvalBatch {
-                label, n, workers, ..
-            } => {
-                eprintln!("[telemetry] eval {label}: {n} envs on {workers} workers");
             }
             Event::CacheHit { tag } => eprintln!("[telemetry] model cache hit: {tag}"),
             Event::CacheMiss { tag } => {
@@ -278,29 +261,24 @@ mod tests {
     #[test]
     fn par_stage_events_aggregate_per_stage() {
         let s = StderrSummary::new();
-        for iter in 0..2u64 {
-            s.record(&Event::ParStage {
-                stage: "rollout".into(),
-                scope: "train/initial".into(),
-                items: 10,
-                workers: 2,
-                busy_nanos: 30,
-                busy_ns: vec![10, 20],
-                worker_items: vec![5, 5],
-                imbalance: 4.0 / 3.0,
-            });
-            let _ = iter;
+        for _ in 0..2 {
+            s.record(&Event::par_stage(
+                "rollout",
+                "train/initial",
+                10,
+                2,
+                vec![10, 20],
+                vec![5, 5],
+            ));
         }
-        s.record(&Event::ParStage {
-            stage: "ppo-update".into(),
-            scope: "train/initial".into(),
-            items: 100,
-            workers: 1,
-            busy_nanos: 7,
-            busy_ns: vec![7],
-            worker_items: vec![100],
-            imbalance: 1.0,
-        });
+        s.record(&Event::par_stage(
+            "ppo-update",
+            "train/initial",
+            100,
+            1,
+            vec![7],
+            vec![100],
+        ));
         let st = s.state.lock().unwrap();
         assert_eq!(st.stages.len(), 2);
         let rollout = &st.stages["rollout"];

@@ -155,11 +155,11 @@ impl Proposer for BayesOpt {
     }
 
     fn observe(&mut self, cfg: EnvConfig, value: f64) {
-        assert!(
-            value.is_finite(),
-            "BO observation must be finite, got {value}"
-        );
         self.pending = None;
+        // The GP cannot fit a non-finite value.
+        if !value.is_finite() {
+            return;
+        }
         self.norm_x.push(self.space.normalize(&cfg));
         self.obs_x.push(cfg);
         self.obs_y.push(value);
@@ -286,11 +286,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be finite")]
-    fn rejects_nan_observation() {
+    fn ignores_non_finite_observation() {
+        // Non-finite values are never stored and never best, and the search
+        // goes on as if they had not been observed: the same proposals as
+        // a search that only saw the finite values.
         let mut bo = BayesOpt::new(space2());
-        let mut rng = StdRng::seed_from_u64(3);
-        let cfg = bo.propose(&mut rng);
-        bo.observe(cfg, f64::NAN);
+        let mut clean = BayesOpt::new(space2());
+        let (mut rng, mut clean_rng) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for i in 0..8 {
+            let cfg = bo.propose(&mut rng);
+            assert_eq!(cfg, clean.propose(&mut clean_rng), "proposal {i}");
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
+            bo.observe(cfg.clone(), bad);
+            if i % 2 == 1 {
+                let v = (i as f64).sin();
+                bo.observe(cfg.clone(), v);
+                clean.observe(cfg, v);
+            }
+        }
+        assert_eq!(bo.observations(), clean.observations());
+        assert!(bo.history().all(|(_, v)| v.is_finite()));
+        assert_eq!(bo.best().map(|(_, v)| v), clean.best().map(|(_, v)| v));
+        let mut empty = BayesOpt::new(space2());
+        let cfg = empty.propose(&mut rng);
+        empty.observe(cfg, f64::NAN);
+        assert!(empty.best().is_none());
     }
 }

@@ -52,7 +52,10 @@ pub trait Proposer {
         self.propose(rng)
     }
 
-    /// Feeds back the measured objective for a proposed configuration.
+    /// Feeds back the measured objective for a proposed configuration. A
+    /// non-finite `value` (a criterion that returned NaN) is ignored: it is
+    /// never stored and never becomes [`Proposer::best`], while the
+    /// strategy otherwise moves on as after any observation.
     fn observe(&mut self, cfg: EnvConfig, value: f64);
 
     /// Best `(config, value)` observed so far, if any — the paper's

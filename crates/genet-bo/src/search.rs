@@ -33,8 +33,9 @@ impl Proposer for RandomSearch {
     }
 
     fn observe(&mut self, cfg: EnvConfig, value: f64) {
-        assert!(value.is_finite());
-        self.obs.push((cfg, value));
+        if value.is_finite() {
+            self.obs.push((cfg, value));
+        }
     }
 
     fn best(&self) -> Option<(&EnvConfig, f64)> {
@@ -98,12 +99,13 @@ impl Proposer for GridSearch {
     }
 
     fn observe(&mut self, cfg: EnvConfig, value: f64) {
-        assert!(value.is_finite());
-        if value > self.current_value {
-            self.current_value = value;
-            self.current = cfg.clone();
+        if value.is_finite() {
+            if value > self.current_value {
+                self.current_value = value;
+                self.current = cfg.clone();
+            }
+            self.obs.push((cfg, value));
         }
-        self.obs.push((cfg, value));
         // Advance the scan: next grid point, wrapping to the next dimension
         // (and cycling over dimensions indefinitely, refining around the
         // incumbent).
@@ -182,6 +184,42 @@ mod tests {
         assert!((best.get(0) - 8.0).abs() < 1e-9, "{best}");
         assert!((best.get(1) - 3.0).abs() < 1e-9, "{best}");
         assert!((v - 0.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn random_search_ignores_non_finite_observation() {
+        let mut rs = RandomSearch::new(space());
+        let mut rng = StdRng::seed_from_u64(1);
+        let cfg = rs.propose(&mut rng);
+        rs.observe(cfg, f64::NAN);
+        assert!(rs.best().is_none());
+        let cfg = rs.propose(&mut rng);
+        rs.observe(cfg.clone(), -2.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let other = rs.propose(&mut rng);
+            rs.observe(other, bad);
+        }
+        assert_eq!(rs.best(), Some((&cfg, -2.0)));
+    }
+
+    #[test]
+    fn grid_search_ignores_non_finite_observation_but_advances() {
+        // A non-finite value never becomes the anchor or best, but the
+        // scan still moves on to the next grid point.
+        let mut gs = GridSearch::new(space(), 3);
+        let mut rng = StdRng::seed_from_u64(0);
+        let first = gs.propose(&mut rng);
+        gs.observe(first.clone(), f64::INFINITY);
+        assert!(gs.best().is_none());
+        let second = gs.propose(&mut rng);
+        assert_ne!(first, second, "the scan did not advance");
+        gs.observe(second.clone(), -1.0);
+        let third = gs.propose(&mut rng);
+        gs.observe(third, f64::NAN);
+        assert_eq!(gs.best(), Some((&second, -1.0)));
+        // The anchor moved to `second`: the dim-1 scan keeps its dim 0.
+        let next = gs.propose(&mut rng);
+        assert_eq!(next.get(0).to_bits(), second.get(0).to_bits());
     }
 
     #[test]

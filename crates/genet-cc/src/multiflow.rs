@@ -503,7 +503,9 @@ impl MultiFlowSim {
         fl.vars = vars;
         // Random (non-congestion) loss is decided — and accounted — at send
         // time, like the fluid core; the receiver later detects the gap.
-        let lost: bool = fl.loss_rng.random::<f64>() < self.path.loss_rate;
+        // Nothing else reads the loss stream, so a lossless path skips the
+        // draw.
+        let lost = self.path.loss_rate > 0.0 && fl.loss_rng.random::<f64>() < self.path.loss_rate;
         if lost {
             fl.acc.lost += 1.0;
         } else {
@@ -580,7 +582,9 @@ impl MultiFlowSim {
         // The ACK (cumulative counters + the pending NAK ranges) crosses the
         // reverse path; ACK loss destroys the detailed ranges but never the
         // cumulative counts — the next ACK carries those forward.
-        let dropped: bool = fl.ack_rng.random::<f64>() < self.path.ack_loss_rate;
+        // The ACK-loss stream likewise has no other reader.
+        let dropped =
+            self.path.ack_loss_rate > 0.0 && fl.ack_rng.random::<f64>() < self.path.ack_loss_rate;
         if dropped {
             fl.rcv_pending_nak.clear();
             return;

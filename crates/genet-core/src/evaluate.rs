@@ -10,13 +10,13 @@ use genet_env::{EnvConfig, Policy, Scenario};
 use genet_math::derive_seed;
 use genet_telemetry::{counters, Collector, Event};
 
-// The engine itself (worker-count resolution, the deterministic fan-out and
-// the ordered gradient fold) lives in `genet-par` so that `genet-rl` can use
-// it for the PPO update stage without a dependency cycle. These re-exports
-// keep every pre-existing `genet_core::evaluate::*` path working.
+// The engine itself (worker-count resolution and the deterministic fan-out)
+// lives in `genet-par` so that `genet-rl` can use it for the PPO update
+// stage without a dependency cycle. These re-exports keep every
+// pre-existing `genet_core::evaluate::*` path working.
 pub use genet_par::{
-    configured_threads, fold_rows_ordered, override_worker_threads, par_map, par_map_profiled,
-    par_map_sharded, worker_count, BatchProfile,
+    configured_threads, override_worker_threads, par_map, par_map_profiled, par_map_sharded,
+    worker_count, BatchProfile,
 };
 
 /// [`par_map`] with an attached telemetry collector: emits one

@@ -300,11 +300,8 @@ where
                     ei: bo.last_acquisition(),
                 });
             }
-            // BO cannot fit a non-finite objective; such a trial is
-            // recorded but not observed.
-            if obj.is_finite() {
-                bo.observe(p, obj);
-            }
+            // A non-finite objective is recorded above; `observe` ignores it.
+            bo.observe(p, obj);
         }
         // A round with no best (`bo_trials == 0`, or no finite objective)
         // promotes nothing: the distribution stays as it is and training

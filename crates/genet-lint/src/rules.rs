@@ -31,8 +31,8 @@ pub enum RuleId {
     /// results depend on the schedule.
     ParSharedMutableCapture,
     /// Float accumulation (`+=`, `.sum()`, `.fold(`) over captured data
-    /// inside a parallel closure outside `fold_rows_ordered`: float
-    /// addition is non-associative, so reduction order must be pinned.
+    /// inside a parallel closure: float addition is non-associative, so
+    /// reduction order must be pinned.
     UnorderedFloatReduction,
     /// Result-path control flow conditioned on the worker count or the
     /// `GENET_THREADS` env var outside the sanctioned shard-shaping
@@ -143,10 +143,6 @@ const SANCTIONED_THREAD_FNS: [&str; 4] = [
     "configured_threads",
     "override_worker_threads",
 ];
-
-/// The one function allowed to fold floats across the parallel axis: it
-/// replays the serial reduction order exactly (DESIGN.md §11).
-const SANCTIONED_FOLD_FN: &str = "fold_rows_ordered";
 
 /// File allowed to read arbitrary env vars (`GENET_BENCH_OUT` relocation).
 const SANCTIONED_ENV_FILE_SUFFIX: &str = "genet-telemetry/src/paths.rs";
@@ -737,9 +733,6 @@ fn scan_par_closures(model: &FileModel, out: &mut Vec<Finding>) {
         if model.in_test(cl.start) {
             continue;
         }
-        let in_sanctioned_fold = model
-            .enclosing_fn(cl.start)
-            .is_some_and(|f| f.name == SANCTIONED_FOLD_FN);
         let capture_rule_applies = CAPTURE_RULE_ENTRIES.contains(&entry);
         let (blo, bhi) = cl.body;
         // Skip tokens owned by nested *non-par* closure param lists? No —
@@ -764,12 +757,12 @@ fn scan_par_closures(model: &FileModel, out: &mut Vec<Finding>) {
                             let float = stmt_float_evidence(model, slo, shi)
                                 || declared_type_is_float(model, root);
                             let compound = t.text != "=";
-                            if compound && float && !in_sanctioned_fold {
+                            if compound && float {
                                 push(out, &toks[root], RuleId::UnorderedFloatReduction, format!(
-                                    "float `{}` into captured `{}` inside a {} closure: reduction order depends on the schedule; return per-item values and combine with fold_rows_ordered",
+                                    "float `{}` into captured `{}` inside a {} closure: reduction order depends on the schedule; return per-item values and combine them in index order after the batch",
                                     t.text, toks[root].text, entry
                                 ));
-                            } else if capture_rule_applies && !in_sanctioned_fold {
+                            } else if capture_rule_applies {
                                 push(out, &toks[root], RuleId::ParSharedMutableCapture, format!(
                                     "closure passed to {} mutates captured `{}`: per-worker side effects break thread-count invariance; return the value instead",
                                     entry, toks[root].text
@@ -844,10 +837,7 @@ fn scan_par_closures(model: &FileModel, out: &mut Vec<Finding>) {
                 // --- float .sum()/.product()/.fold( over captured data ---
                 // (`called` or turbofish: `.sum::<f64>()`)
                 let reduce_called = called || toks.get(j + 1).is_some_and(|n| n.is_punct("::"));
-                if !in_sanctioned_fold
-                    && dotted
-                    && reduce_called
-                    && matches!(t.text.as_str(), "sum" | "product" | "fold")
+                if dotted && reduce_called && matches!(t.text.as_str(), "sum" | "product" | "fold")
                 {
                     let (slo, shi) = model.stmt_range(j);
                     if stmt_float_evidence(model, slo, shi) {
@@ -858,7 +848,7 @@ fn scan_par_closures(model: &FileModel, out: &mut Vec<Finding>) {
                         if let Some(root) = receiver_root(model, slo, j - 1) {
                             if !model.is_closure_local(root) {
                                 push(out, &toks[root], RuleId::UnorderedFloatReduction, format!(
-                                    ".{}() over captured `{}` inside a {} closure: shared floats reduced per-worker; pin the order via fold_rows_ordered",
+                                    ".{}() over captured `{}` inside a {} closure: shared floats reduced per-worker; return per-item values and combine them in index order after the batch",
                                     t.text, toks[root].text, entry
                                 ));
                             }

@@ -35,10 +35,10 @@ pub fn negative_local_sum(n: usize) -> Vec<f64> {
 }
 
 pub fn fold_rows_ordered(out: &mut [f64], row: &[f64]) {
-    // The sanctioned fold: replays the serial reduction order exactly.
+    // No function name exempts a parallel closure from the rule.
     scope(|s| {
         s.spawn(|_| {
-            out[0] += row[0] * 1.0;
+            out[0] += row[0] * 1.0; // POSITIVE line 41 — captured f64 accumulation in a spawn closure
         });
     });
 }

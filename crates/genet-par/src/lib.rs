@@ -102,32 +102,8 @@ pub struct BatchProfile {
     /// timing was requested).
     pub worker_busy: Vec<u64>,
     /// Per-worker items processed in worker-index order (empty unless
-    /// timing was requested). For `par_map_profiled` an item is one work
-    /// index; for [`fold_rows_ordered`] it is one parameter slot.
+    /// timing was requested). An item is one work index.
     pub worker_items: Vec<u64>,
-}
-
-impl BatchProfile {
-    /// Folds another batch's accounting into this one, worker index by
-    /// worker index (used by engines that run many batches per stage, e.g.
-    /// the PPO update's minibatch loop). `workers` keeps the maximum,
-    /// busy times and item counts accumulate.
-    pub fn absorb(&mut self, other: &BatchProfile) {
-        self.workers = self.workers.max(other.workers);
-        self.busy_nanos += other.busy_nanos;
-        if self.worker_busy.len() < other.worker_busy.len() {
-            self.worker_busy.resize(other.worker_busy.len(), 0);
-        }
-        for (acc, v) in self.worker_busy.iter_mut().zip(other.worker_busy.iter()) {
-            *acc += *v;
-        }
-        if self.worker_items.len() < other.worker_items.len() {
-            self.worker_items.resize(other.worker_items.len(), 0);
-        }
-        for (acc, v) in self.worker_items.iter_mut().zip(other.worker_items.iter()) {
-            *acc += *v;
-        }
-    }
 }
 
 /// Parallel deterministic map: applies `f` to each item index, preserving
@@ -328,48 +304,6 @@ pub fn time_serial<T>(timed: bool, f: impl FnOnce() -> T) -> (T, u64) {
     (out, t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64))
 }
 
-/// Below this many element-additions the scoped-thread spawn cost exceeds
-/// the fold itself; a serial fold is both faster and trivially in-order.
-const FOLD_PAR_THRESHOLD: usize = 1 << 16;
-
-/// Ordered row reduction: `out[p] += Σ_s rows[s][p]`, with the additions
-/// into each `out[p]` performed **strictly in ascending row order** — the
-/// exact floating-point sequence a serial per-sample accumulation would
-/// produce. Parallelism comes from partitioning the *parameter axis* into
-/// disjoint ranges: each worker folds every row's slice of its range in row
-/// order, so the per-parameter addition sequence is identical for any
-/// worker count or partition (only *independent* sums run concurrently).
-///
-/// This is the fixed-order reduction genet-lint's
-/// `unordered-float-reduction` rule points parallel code at: a closure
-/// that would add floats into shared state returns per-item rows instead,
-/// and the caller folds them here (DESIGN.md §11, §13).
-///
-/// # Panics
-/// Panics if any row's length differs from `out.len()`.
-pub fn fold_rows_ordered(rows: &[&[f32]], out: &mut [f32], timed: bool) -> BatchProfile {
-    for (s, row) in rows.iter().enumerate() {
-        assert_eq!(row.len(), out.len(), "row {s} length mismatch");
-    }
-    if rows.is_empty() || out.is_empty() {
-        return BatchProfile {
-            workers: 1,
-            ..BatchProfile::default()
-        };
-    }
-    let small = rows.len().saturating_mul(out.len()) < FOLD_PAR_THRESHOLD;
-    let threads = if small { 1 } else { worker_count(out.len()) };
-    let (_, profile) = fan_out(out, threads, timed, |lo, chunk| {
-        let hi = lo + chunk.len();
-        for row in rows {
-            for (o, v) in chunk.iter_mut().zip(&row[lo..hi]) {
-                *o += *v;
-            }
-        }
-    });
-    profile
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,38 +330,6 @@ mod tests {
             assert!(w >= 1 && w <= n, "worker_count({n}) = {w}");
         }
         assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    fn fold_rows_ordered_matches_serial_bitwise() {
-        // Rows big enough to clear FOLD_PAR_THRESHOLD so the parallel path
-        // actually runs under multi-core hosts.
-        let p = 1 << 12;
-        let n = 64;
-        let rows_data: Vec<Vec<f32>> = (0..n)
-            .map(|s| {
-                (0..p)
-                    .map(|j| ((s * 31 + j * 7) % 1000) as f32 * 1e-3 - 0.5)
-                    .collect()
-            })
-            .collect();
-        let rows: Vec<&[f32]> = rows_data.iter().map(|r| r.as_slice()).collect();
-
-        let mut serial = vec![0.0f32; p];
-        for row in &rows_data {
-            for (o, v) in serial.iter_mut().zip(row.iter()) {
-                *o += *v;
-            }
-        }
-        for threads in [Some(1), Some(2), Some(7), None] {
-            override_worker_threads(threads);
-            let mut out = vec![0.0f32; p];
-            fold_rows_ordered(&rows, &mut out, false);
-            override_worker_threads(None);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "fold diverged at threads={threads:?}");
-        }
     }
 
     #[test]
@@ -534,22 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_rows_ordered_handles_empty() {
-        let mut out = vec![1.0f32; 4];
-        let profile = fold_rows_ordered(&[], &mut out, false);
-        assert_eq!(profile.workers, 1);
-        assert_eq!(out, vec![1.0f32; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn fold_rows_ordered_rejects_ragged_rows() {
-        let row = vec![1.0f32; 3];
-        let mut out = vec![0.0f32; 4];
-        fold_rows_ordered(&[&row], &mut out, false);
-    }
-
-    #[test]
     fn time_serial_only_reads_clock_when_asked() {
         let (v, nanos) = time_serial(false, || 41 + 1);
         assert_eq!(v, 42);
@@ -586,27 +472,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn absorb_accumulates_by_worker_index() {
-        let mut acc = BatchProfile::default();
-        acc.absorb(&BatchProfile {
-            workers: 2,
-            busy_nanos: 30,
-            worker_busy: vec![10, 20],
-            worker_items: vec![3, 2],
-        });
-        acc.absorb(&BatchProfile {
-            workers: 3,
-            busy_nanos: 60,
-            worker_busy: vec![10, 20, 30],
-            worker_items: vec![1, 1, 1],
-        });
-        assert_eq!(acc.workers, 3);
-        assert_eq!(acc.busy_nanos, 90);
-        assert_eq!(acc.worker_busy, vec![20, 40, 30]);
-        assert_eq!(acc.worker_items, vec![4, 3, 1]);
-    }
-
     /// The chunks, as index ranges, of a batch of `n` items that reported
     /// `workers` workers, written out from the chunk rule: `ceil(n /
     /// workers)` items each, the last one shorter.
@@ -620,9 +485,6 @@ mod tests {
     #[test]
     fn every_wrapper_times_the_chunk_rule() {
         for n in [1usize, 2, 7, 97] {
-            // Enough rows to clear FOLD_PAR_THRESHOLD, so the fold fans out.
-            let row = vec![1.0f32; n];
-            let rows = vec![row.as_slice(); FOLD_PAR_THRESHOLD.div_ceil(n)];
             let weights: Vec<u64> = (1..=n as u64).collect();
             for threads in [1usize, 2, 3, 8] {
                 override_worker_threads(Some(threads));
@@ -630,7 +492,6 @@ mod tests {
                     par_map_profiled(n, |i| i, true).1,
                     par_map_sharded(n, || (), |i, _| i, true).1,
                     par_map_mut_profiled(&mut vec![0u8; n], |i, _| i, true).1,
-                    fold_rows_ordered(&rows, &mut vec![0.0f32; n], true),
                 ];
                 override_worker_threads(None);
                 // Other tests move the process-wide override concurrently,

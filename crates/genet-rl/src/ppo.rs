@@ -81,13 +81,10 @@ pub struct UpdateStats {
 pub struct UpdateProfile {
     /// Gradient samples processed (`buffer len × epochs`).
     pub samples: u64,
-    /// Per-worker accounting summed by worker index across all minibatch
-    /// fan-outs of the update (empty, with `workers` 1, unless timing was
-    /// requested). `workers` is the most any minibatch fanned out over: at
-    /// least 1, at most 2 (one per network). An item is one network's pass
-    /// over one sample, so the items sum to `2 × samples`. Worker indices
-    /// are a pure function of the batch shape, so the aggregation order is
-    /// deterministic.
+    /// Per-worker accounting of the update's one fan-out over the two
+    /// network jobs (vectors empty unless timing was requested). `workers`
+    /// is 2, or 1 when one worker runs both jobs. An item is one network's
+    /// pass over one sample, so the items sum to `2 × samples`.
     pub stage: genet_par::BatchProfile,
 }
 
@@ -98,12 +95,16 @@ enum Net {
     Critic,
 }
 
-/// One network's half of every minibatch of an update, with buffers that
-/// live for the whole update: batched forward/backward scratch, the
-/// `dLoss/dOutput` rows, and the minibatch gradient. The update fans each
-/// minibatch out over one actor pass and one critic pass (DESIGN.md §11).
-struct NetPass {
+/// One network's whole update: the network, its optimizer, and buffers
+/// that live for the whole update — staged minibatch observations, batched
+/// forward/backward scratch, the `dLoss/dOutput` rows and the minibatch
+/// gradient. The update fans out once over one actor job and one critic
+/// job, which share only read-only inputs (DESIGN.md §11).
+struct NetPass<'a> {
     net: Net,
+    mlp: &'a mut Mlp,
+    opt: &'a mut Adam,
+    xs: Vec<f32>,
     scratch: MlpBatchScratch,
     gouts: Vec<f32>,
     /// The minibatch gradient, summed in ascending sample order.
@@ -116,39 +117,79 @@ struct NetPass {
     g_ent: Vec<f32>,
 }
 
-impl NetPass {
-    fn new(net: Net, mlp: &Mlp) -> Self {
+impl<'a> NetPass<'a> {
+    fn new(net: Net, mlp: &'a mut Mlp, opt: &'a mut Adam) -> Self {
+        let (params, outputs) = (mlp.param_count(), mlp.output_dim());
         Self {
             net,
+            mlp,
+            opt,
+            xs: Vec::new(),
             scratch: MlpBatchScratch::default(),
             gouts: Vec::new(),
-            grads: vec![0.0; mlp.param_count()],
+            grads: vec![0.0; params],
             probs: Vec::new(),
-            log_probs: vec![0.0; mlp.output_dim()],
-            grad_logits: vec![0.0; mlp.output_dim()],
-            g_ent: vec![0.0; mlp.output_dim()],
+            log_probs: vec![0.0; outputs],
+            grad_logits: vec![0.0; outputs],
+            g_ent: vec![0.0; outputs],
         }
     }
 
-    /// The actor's pass over minibatch `idxs` (observations staged in `xs`):
-    /// batched forward, the PPO-clip + entropy `dLoss/dlogits` rows, and a
-    /// batched backward into `self.grads`. Returns the minibatch sums of
-    /// −surrogate, entropy and KL, each added in sample order
-    /// (`value_loss` stays 0).
+    /// Runs every minibatch of every epoch — `orders` holds one drawn
+    /// permutation of the buffer per epoch, back to back — and takes one
+    /// Adam step after each. Returns the stats this network sets, each
+    /// minibatch's sum scaled by 1/len and added in minibatch order.
+    fn run(&mut self, cfg: &PpoConfig, buffer: &RolloutBuffer, orders: &[usize]) -> UpdateStats {
+        let n = buffer.len();
+        let mut stats = UpdateStats::default();
+        for epoch in 0..cfg.epochs {
+            for chunk in orders[epoch * n..(epoch + 1) * n].chunks(cfg.minibatch) {
+                let inv = 1.0 / chunk.len() as f32;
+                self.xs.clear();
+                for &i in chunk {
+                    self.xs.extend_from_slice(buffer.obs(i));
+                }
+                let sums = match self.net {
+                    Net::Actor => self.actor(cfg, buffer, chunk, inv),
+                    Net::Critic => self.critic(buffer, chunk, inv),
+                };
+                debug_assert!(
+                    sums.policy_loss.is_finite() && sums.value_loss.is_finite(),
+                    "non-finite PPO loss: policy {} value {}",
+                    sums.policy_loss,
+                    sums.value_loss
+                );
+                debug_assert!(
+                    self.grads.iter().all(|g| g.is_finite()),
+                    "non-finite gradient in PPO update"
+                );
+                self.opt.step(self.mlp.params_mut(), &self.grads);
+                stats.policy_loss += sums.policy_loss * inv;
+                stats.value_loss += sums.value_loss * inv;
+                stats.entropy += sums.entropy * inv;
+                stats.approx_kl += sums.approx_kl * inv;
+            }
+        }
+        stats
+    }
+
+    /// The actor's pass over minibatch `idxs` (observations staged in
+    /// `self.xs`): batched forward, the PPO-clip + entropy `dLoss/dlogits`
+    /// rows, and a batched backward into `self.grads`. Returns the
+    /// minibatch sums of −surrogate, entropy and KL, each added in sample
+    /// order (`value_loss` stays 0).
     fn actor(
         &mut self,
-        actor: &Mlp,
         cfg: &PpoConfig,
         buffer: &RolloutBuffer,
         idxs: &[usize],
-        xs: &[f32],
         inv: f32,
     ) -> UpdateStats {
         let m = idxs.len();
-        let actions = actor.output_dim();
+        let actions = self.mlp.output_dim();
         self.gouts.resize(m * actions, 0.0);
         let mut sums = UpdateStats::default();
-        let logits_all = actor.forward_batch(xs, m, &mut self.scratch);
+        let logits_all = self.mlp.forward_batch(&self.xs, m, &mut self.scratch);
         for (s, &i) in idxs.iter().enumerate() {
             let t = &buffer.meta()[i];
             let adv = buffer.advantages()[i];
@@ -179,33 +220,28 @@ impl NetPass {
             sums.approx_kl += t.log_prob - logp;
         }
         self.grads.iter_mut().for_each(|g| *g = 0.0);
-        actor.backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
+        self.mlp
+            .backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
         sums
     }
 
-    /// The critic's pass over the same minibatch: batched forward, the
+    /// The critic's pass over minibatch `idxs`: batched forward, the
     /// value-error rows, and a batched backward into `self.grads`. Returns
     /// the minibatch sum of ½·verr², added in sample order (only
     /// `value_loss` is set).
-    fn critic(
-        &mut self,
-        critic: &Mlp,
-        buffer: &RolloutBuffer,
-        idxs: &[usize],
-        xs: &[f32],
-        inv: f32,
-    ) -> UpdateStats {
+    fn critic(&mut self, buffer: &RolloutBuffer, idxs: &[usize], inv: f32) -> UpdateStats {
         let m = idxs.len();
         self.gouts.resize(m, 0.0);
         let mut sums = UpdateStats::default();
-        let values = critic.forward_batch(xs, m, &mut self.scratch);
+        let values = self.mlp.forward_batch(&self.xs, m, &mut self.scratch);
         for (s, &i) in idxs.iter().enumerate() {
             let verr = values[s] - buffer.returns()[i];
             self.gouts[s] = verr * inv;
             sums.value_loss += 0.5 * verr * verr;
         }
         self.grads.iter_mut().for_each(|g| *g = 0.0);
-        critic.backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
+        self.mlp
+            .backward_batch_accum(&self.gouts, m, &mut self.scratch, &mut self.grads);
         sums
     }
 }
@@ -302,16 +338,19 @@ impl PpoAgent {
     /// `par_stage` telemetry event. `timed` requests busy-time measurement
     /// (callers with disabled telemetry read no clock).
     ///
-    /// Each minibatch is one fan-out over two network passes
-    /// (`genet_par::par_map_mut_profiled`): the actor's forward, clipped
-    /// surrogate + entropy loss rows and backward on one worker, the
-    /// critic's forward, value error and backward on another (both on the
-    /// caller at one worker). Each pass runs its whole minibatch through
+    /// Every epoch's minibatch order is drawn up front, in epoch order —
+    /// the shuffle is the update's only RNG use. Then one fan-out
+    /// (`genet_par::par_map_mut_profiled`) runs two network jobs: the
+    /// actor's whole update (forward, clipped surrogate + entropy rows,
+    /// backward and Adam step per minibatch) on one worker, the critic's
+    /// (forward, value error, backward, Adam step) on another, both on the
+    /// caller at one worker. Each pass runs its minibatch through
     /// [`Mlp::forward_batch`] and [`Mlp::backward_batch_accum`], so every
     /// parameter's gradient is summed in ascending sample order — the
-    /// serial per-sample FP sequence — and the two nets share no mutable
-    /// state. Weights and [`UpdateStats`] are therefore bit-identical at
-    /// any worker count (DESIGN.md §11).
+    /// serial per-sample FP sequence — each network's Adam steps run in
+    /// minibatch order, and the two jobs share no mutable state. Weights
+    /// and [`UpdateStats`] are therefore bit-identical at any worker count
+    /// (DESIGN.md §11).
     pub fn update_profiled(
         &mut self,
         buffer: &mut RolloutBuffer,
@@ -325,84 +364,45 @@ impl PpoAgent {
             opt_actor,
             opt_critic,
             cfg,
-            ..
         } = self;
-        let n = buffer.len();
+        let (cfg, buffer_ref) = (&*cfg, &*buffer);
+        let n = buffer_ref.len();
         let mut indices: Vec<usize> = (0..n).collect();
-        let mut passes = [
-            NetPass::new(Net::Actor, actor),
-            NetPass::new(Net::Critic, critic),
-        ];
-        let mut xs: Vec<f32> = Vec::new();
-        let mut stats = UpdateStats::default();
-        let mut stat_batches = 0usize;
-        let mut profile = UpdateProfile {
-            samples: (n * cfg.epochs) as u64,
-            stage: genet_par::BatchProfile {
-                workers: 1,
-                ..Default::default()
-            },
-        };
-
+        let mut orders = Vec::with_capacity(n * cfg.epochs);
         for _epoch in 0..cfg.epochs {
             indices.shuffle(rng);
-            for chunk in indices.chunks(cfg.minibatch) {
-                let inv = 1.0 / chunk.len() as f32;
-                let buffer = &*buffer;
-                // Stage the minibatch's observations once; both passes
-                // read them.
-                xs.clear();
-                for &i in chunk {
-                    xs.extend_from_slice(buffer.obs(i));
-                }
-                let (sums, bp) = genet_par::par_map_mut_profiled(
-                    &mut passes,
-                    |_, pass| match pass.net {
-                        Net::Actor => pass.actor(actor, cfg, buffer, chunk, &xs, inv),
-                        Net::Critic => pass.critic(critic, buffer, chunk, &xs, inv),
-                    },
-                    timed,
-                );
-                if timed {
-                    // Re-express the per-worker items (network passes) in
-                    // samples: each pass covers the whole minibatch.
-                    let per_pass = [chunk.len() as u64; 2];
-                    profile.stage.absorb(&genet_par::BatchProfile {
-                        worker_items: genet_par::sum_per_worker(&per_pass, bp.workers),
-                        ..bp
-                    });
-                }
-                let (a, c) = (sums[0], sums[1]);
-                let (ga, gc) = (&passes[0].grads, &passes[1].grads);
-                debug_assert!(
-                    a.policy_loss.is_finite() && c.value_loss.is_finite(),
-                    "non-finite PPO loss: policy {} value {}",
-                    a.policy_loss,
-                    c.value_loss
-                );
-                debug_assert!(
-                    ga.iter().chain(gc).all(|g| g.is_finite()),
-                    "non-finite gradient in PPO update"
-                );
-                opt_actor.step(actor.params_mut(), ga);
-                opt_critic.step(critic.params_mut(), gc);
-
-                stats.policy_loss += a.policy_loss * inv;
-                stats.value_loss += c.value_loss * inv;
-                stats.entropy += a.entropy * inv;
-                stats.approx_kl += a.approx_kl * inv;
-                stat_batches += 1;
-            }
+            orders.extend_from_slice(&indices);
         }
-        if stat_batches > 0 {
-            let s = 1.0 / stat_batches as f32;
+        let mut passes = [
+            NetPass::new(Net::Actor, actor, opt_actor),
+            NetPass::new(Net::Critic, critic, opt_critic),
+        ];
+        let (sums, mut stage) = genet_par::par_map_mut_profiled(
+            &mut passes,
+            |_, pass| pass.run(cfg, buffer_ref, &orders),
+            timed,
+        );
+        let samples = (n * cfg.epochs) as u64;
+        if timed {
+            // Re-express the per-worker items (network jobs) in samples:
+            // each job covers every sample of every epoch.
+            stage.worker_items = genet_par::sum_per_worker(&[samples; 2], stage.workers);
+        }
+        let (a, c) = (sums[0], sums[1]);
+        let mut stats = UpdateStats {
+            value_loss: c.value_loss,
+            ..a
+        };
+        let minibatches = cfg.epochs * n.div_ceil(cfg.minibatch);
+        if minibatches > 0 {
+            let s = 1.0 / minibatches as f32;
             stats.policy_loss *= s;
             stats.value_loss *= s;
             stats.entropy *= s;
             stats.approx_kl *= s;
         }
         buffer.clear();
-        (stats, profile)
+        (stats, UpdateProfile { samples, stage })
     }
 
     /// An immutable evaluation snapshot implementing [`genet_env::Policy`].
@@ -956,8 +956,8 @@ mod tests {
 
     #[test]
     fn timed_update_accounts_both_network_passes() {
-        // Each minibatch fans out over one actor and one critic pass: two
-        // workers when two are allowed, both passes on the caller at one.
+        // The update fans out once over one actor and one critic job: two
+        // workers when two are allowed, both jobs on the caller at one.
         // An item is one network's pass over one sample.
         let _guard = lock_override();
         for (threads, workers) in [(2usize, 2usize), (1, 1)] {

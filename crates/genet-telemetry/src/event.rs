@@ -57,8 +57,7 @@ pub enum Event {
         value: f64,
     },
     /// The one record of a parallel batch: the per-worker busy times and
-    /// item counts of a `genet-par` fan-out (or the aggregate over the
-    /// minibatch fan-outs of one PPO update call). The arrays are indexed by
+    /// item counts of a `genet-par` fan-out. The arrays are indexed by
     /// worker index — a pure function of the batch shape, never of OS
     /// scheduling — so the event is deterministically ordered. Build it with
     /// [`Event::par_stage`], which derives `busy_nanos` and `imbalance`.
@@ -226,11 +225,16 @@ impl Event {
     }
 
     /// Decodes an event from a parsed JSON object; returns `None` for
-    /// non-event lines (spans, counters) or malformed objects.
+    /// non-event lines (spans, counters) or malformed objects. A float
+    /// field written as `null` (the encoding of a non-finite value) reads
+    /// back as NaN; a missing one makes the object malformed.
     pub fn from_json(v: &JsonValue) -> Option<Event> {
         let kind = v.get("type")?.as_str()?;
         let u = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-        let f = |k: &str| v.get(k).and_then(JsonValue::as_f64);
+        let f = |k: &str| match v.get(k)? {
+            JsonValue::Null => Some(f64::NAN),
+            other => other.as_f64(),
+        };
         let s = |k: &str| v.get(k).and_then(JsonValue::as_str).map(str::to_string);
         match kind {
             "train_iter" => Some(Event::TrainIter {
@@ -399,6 +403,48 @@ mod tests {
         };
         let parsed = parse(&ev.to_json(None)).unwrap();
         assert_eq!(parsed.get("type").unwrap().as_str().unwrap(), ev.kind());
+    }
+
+    #[test]
+    fn non_finite_floats_decode_as_nan() {
+        // A NaN is written as `null`, read back as NaN, and re-encodes to
+        // the same line; every other field survives unchanged.
+        let trial = Event::BoTrial {
+            round: 1,
+            trial: 3,
+            config: vec![0.5],
+            objective: f64::NAN,
+            ei: Some(0.25),
+        };
+        let iter = Event::TrainIter {
+            scope: "train/round1".into(),
+            iter: 2,
+            mean_reward: f64::NAN,
+            episodes: 10,
+            env_steps: 400,
+            policy_loss: 0.1,
+            value_loss: 0.2,
+            entropy: 0.3,
+            approx_kl: 0.0,
+        };
+        for ev in [trial, iter] {
+            let line = ev.to_json(None);
+            let parsed = parse(&line).expect("valid json");
+            let back = Event::from_json(&parsed).expect("decodable event");
+            let nan = match &back {
+                Event::BoTrial { objective, .. } => *objective,
+                Event::TrainIter { mean_reward, .. } => *mean_reward,
+                other => panic!("decoded {other:?}"),
+            };
+            assert!(nan.is_nan(), "line was: {line}");
+            assert_eq!(back.to_json(None), line);
+        }
+    }
+
+    #[test]
+    fn missing_float_field_is_malformed() {
+        let parsed = parse(r#"{"type":"promotion","round":1,"config":[2.0]}"#).expect("valid json");
+        assert!(Event::from_json(&parsed).is_none());
     }
 
     #[test]
